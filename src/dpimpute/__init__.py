@@ -67,6 +67,7 @@ from .strategies import (
     run_available_case,
     run_dp_impute_then_query,
     run_impute_then_query,
+    run_strategy,
 )
 
 __version__ = "0.1.0"

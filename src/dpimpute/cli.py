@@ -18,6 +18,7 @@ from .core_data import (
     PrivacyBudget,
     Universe,
     read_dataset_csv,
+    validate,
     write_dataset_csv,
 )
 from .imputation import ImputationModel, fit_imputation_model, impute
@@ -97,8 +98,12 @@ def cmd_simulate(args) -> int:
         cfg = simulation.SimConfig(**raw)
     except (TypeError, ValueError) as exc:
         return _fail(EXIT_BAD_CONFIG, f"bad config: {exc}")
+    try:
+        workers = simulation.worker_count(args.workers)
+    except ValueError as exc:
+        return _fail(EXIT_BAD_CONFIG, f"bad DPIMPUTE_THREADS: {exc}")
 
-    records, failures = simulation.run_sweep(cfg, workers=args.workers)
+    records, failures = simulation.run_sweep(cfg, workers=workers)
     if not records:
         return _fail(EXIT_RUNTIME, "all runs failed")
     summary = simulation.summarize_runs(cfg, records, failures)
@@ -138,9 +143,40 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+_MAX_VIOLATIONS_SHOWN = 10
+
+
 def _load_dataset(args) -> Dataset:
+    """Read the CSV; data outside the universe voids every sensitivity bound,
+    so it is refused with ValueError listing the first violations."""
     universe = Universe((args.lo, args.hi), ((0.0, 1.0),) * args.d)
-    return read_dataset_csv(args.data, universe)
+    data = read_dataset_csv(args.data, universe)
+    violations = validate(data)
+    if violations:
+        shown = [f"row {v.row} {v.column}: {v.message}"
+                 for v in violations[:_MAX_VIOLATIONS_SHOWN]]
+        more = len(violations) - len(shown)
+        if more:
+            shown.append(f"... and {more} more")
+        raise ValueError(
+            f"{len(violations)} value(s) outside the universe: " + "; ".join(shown)
+        )
+    return data
+
+
+def _load_model(path: str, data: Dataset) -> ImputationModel:
+    """Read a model JSON {"beta": [...], "private": bool, "epsilon_spent": float}."""
+    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    beta = np.asarray(raw["beta"], dtype=np.float64)
+    fit = OlsFit(
+        beta=beta,
+        sigma2_hat=0.0,
+        n_used=0,
+        intercept=len(beta) == data.d + 1,
+        private=bool(raw["private"]),
+        epsilon_spent=float(raw["epsilon_spent"]),
+    )
+    return ImputationModel(fit=fit, stochastic=False, universe=data.universe)
 
 
 def cmd_impute(args) -> int:
@@ -150,21 +186,16 @@ def cmd_impute(args) -> int:
         return _fail(EXIT_IO, f"cannot read dataset: {exc}")
     except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"bad dataset: {exc}")
+    if args.model:
+        try:
+            model = _load_model(args.model, data)
+        except OSError as exc:
+            return _fail(EXIT_IO, f"cannot read model: {exc}")
+        except (ValueError, KeyError, TypeError) as exc:
+            return _fail(EXIT_BAD_CONFIG, f"bad model: {exc!r}")
     rng = RandomSource(args.seed)
     try:
-        if args.model:
-            raw = json.loads(Path(args.model).read_text(encoding="utf-8"))
-            beta = np.asarray(raw["beta"], dtype=np.float64)
-            fit = OlsFit(
-                beta=beta,
-                sigma2_hat=0.0,
-                n_used=0,
-                intercept=len(beta) == data.d + 1,
-                private=bool(raw["private"]),
-                epsilon_spent=float(raw["epsilon_spent"]),
-            )
-            model = ImputationModel(fit=fit, stochastic=False, universe=data.universe)
-        else:
+        if not args.model:
             model = fit_imputation_model(
                 data,
                 privacy_epsilon=args.privacy_epsilon,
@@ -193,16 +224,11 @@ def cmd_query(args) -> int:
         return _fail(EXIT_IO, f"cannot read dataset: {exc}")
     except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"bad dataset: {exc}")
-    rng = RandomSource(args.seed)
-    name = _STRATEGY_FLAG[args.strategy]
     try:
-        if name == strategies.AVAILABLE_CASE:
-            result = strategies.run_available_case(data, args.epsilon, rng)
-        elif name == strategies.IMPUTE_THEN_QUERY:
-            result = strategies.run_impute_then_query(data, args.epsilon, rng)
-        else:
-            budget = PrivacyBudget(args.epsilon, imputation_share=args.split)
-            result = strategies.run_dp_impute_then_query(data, budget, rng)
+        budget = PrivacyBudget(args.epsilon, imputation_share=args.split)
+        result = strategies.run_strategy(
+            _STRATEGY_FLAG[args.strategy], data, budget, RandomSource(args.seed)
+        )
     except (ValueError, RuntimeError) as exc:
         return _fail(EXIT_RUNTIME, str(exc))
     print(json.dumps(result.to_json_dict()))

@@ -127,21 +127,22 @@ class Violation:
 
 
 def validate(d: Dataset) -> list[Violation]:
-    """Check every Dataset invariant; an empty list means ok."""
+    """Check every Dataset invariant; an empty list means ok.
+
+    Values must lie in their universe interval; NaN never does.
+    """
     out: list[Violation] = []
     for j, (lo, hi) in enumerate(d.universe.covariate_bounds):
         col = d.covariates[:, j]
-        for i in np.nonzero((col < lo) | (col > hi))[0]:
-            out.append(
-                Violation(int(i), f"x{j + 1}", f"value {col[i]!r} outside [{lo}, {hi}]")
-            )
+        for i in np.nonzero(~((col >= lo) & (col <= hi)))[0]:
+            message = f"value {float(col[i])!r} outside [{lo}, {hi}]"
+            out.append(Violation(int(i), f"x{j + 1}", message))
     lo, hi = d.universe.response_bounds
     obs = ~d.mask
-    bad = obs & (np.isnan(d.response) | (d.response < lo) | (d.response > hi))
+    bad = obs & ~((d.response >= lo) & (d.response <= hi))
     for i in np.nonzero(bad)[0]:
-        out.append(
-            Violation(int(i), "y", f"value {d.response[i]!r} outside [{lo}, {hi}]")
-        )
+        message = f"value {float(d.response[i])!r} outside [{lo}, {hi}]"
+        out.append(Violation(int(i), "y", message))
     return out
 
 
@@ -210,7 +211,7 @@ def write_dataset_csv(d: Dataset, path) -> None:
 def read_dataset_csv(path, universe: Universe) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, None)
         d = universe.dim
         expected = [f"x{j + 1}" for j in range(d)] + ["y", "missing"]
         if header != expected:
@@ -219,6 +220,12 @@ def read_dataset_csv(path, universe: Universe) -> Dataset:
         for row in r:
             if not row:
                 continue
+            if len(row) != d + 2:
+                raise ValueError(
+                    f"line {r.line_num}: expected {d + 2} fields, got {len(row)}"
+                )
+            if row[d + 1] not in ("0", "1"):
+                raise ValueError(f"line {r.line_num}: missing must be 0 or 1")
             xs.append([float(v) for v in row[:d]])
             missing = row[d + 1] == "1"
             ms.append(missing)

@@ -56,18 +56,23 @@ class RandomSource:
 
 
 def laplace_sample(scale: float, rng: RandomSource) -> float:
-    """One Laplace(0, scale) draw via inverse CDF on a single uniform."""
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    u = rng.uniform(-0.5, 0.5)
-    return float(-scale * np.sign(u) * np.log1p(-2.0 * abs(u)))
+    """One Laplace(0, scale) draw."""
+    return float(laplace_samples(scale, None, rng))
 
 
 def laplace_samples(scale: float, size, rng: RandomSource) -> np.ndarray:
-    """Vectorized Laplace draws; same inverse-CDF transform as the scalar path."""
+    """Laplace(0, scale) draws by inverse CDF, one uniform in [-0.5, 0.5) each.
+
+    u = -0.5 would map to infinite noise, so such a uniform is redrawn from
+    the same stream; every other draw is unaffected.
+    """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    u = rng.uniform(-0.5, 0.5, size=size)
+    u = np.asarray(rng.uniform(-0.5, 0.5, size=size))
+    bad = u == -0.5
+    while bad.any():
+        u[bad] = rng.uniform(-0.5, 0.5, size=int(bad.sum()))
+        bad = u == -0.5
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 

@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core_data import Dataset, Universe
+from .mechanisms import ols_fit
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -255,13 +256,11 @@ class TightnessWitness:
 def _extrapolation_impute(d: Dataset) -> np.ndarray:
     """No-intercept regression of (y-a) through the origin, clipped imputation."""
     a, b = d.universe.response_bounds
-    x = d.covariates[:, 0]
+    x = d.covariates
     obs = ~d.mask
-    slope = float(
-        (x[obs] * (d.response[obs] - a)).sum() / (x[obs] * x[obs]).sum()
-    )
+    fit = ols_fit(x[obs], d.response[obs] - a)
     out = np.array(d.response)
-    out[d.mask] = np.clip(a + slope * x[d.mask], a, b)
+    out[d.mask] = np.clip(a + fit.predict(x[d.mask]), a, b)
     return out
 
 

@@ -134,14 +134,9 @@ def _execute_run(cfg: SimConfig, run: int) -> list[RunRecord | RunFailure]:
     out: list[RunRecord | RunFailure] = []
     for name in cfg.strategies:
         rng = base.split(run, _STRATEGY_BASE + _STRATEGY_TAG[name])
+        budget = PrivacyBudget(cfg.epsilon, imputation_share=cfg.split)
         try:
-            if name == strat.AVAILABLE_CASE:
-                res = strat.run_available_case(data, cfg.epsilon, rng)
-            elif name == strat.IMPUTE_THEN_QUERY:
-                res = strat.run_impute_then_query(data, cfg.epsilon, rng)
-            else:
-                budget = PrivacyBudget(cfg.epsilon, imputation_share=cfg.split)
-                res = strat.run_dp_impute_then_query(data, budget, rng)
+            res = strat.run_strategy(name, data, budget, rng)
         except Exception as exc:  # per-run failures never abort the sweep
             out.append(RunFailure(run, name, f"{type(exc).__name__}: {exc}"))
             continue
@@ -158,7 +153,9 @@ def _execute_run(cfg: SimConfig, run: int) -> list[RunRecord | RunFailure]:
     return out
 
 
-def _worker_count(workers: int | None) -> int:
+def worker_count(workers: int | None) -> int:
+    """Resolve a worker count: None reads DPIMPUTE_THREADS (unset = 1), 0 = one
+    per CPU.  Raises ValueError when the variable is not an integer."""
     if workers is None:
         env = os.environ.get("DPIMPUTE_THREADS", "")
         workers = int(env) if env else 1
@@ -172,7 +169,7 @@ def run_sweep(
 ) -> tuple[list[RunRecord], list[RunFailure]]:
     """Execute all runs; per-run results are identical for any worker count
     because every run derives its streams from (seed, run index) alone."""
-    nworkers = _worker_count(workers)
+    nworkers = worker_count(workers)
     if nworkers == 1:
         chunks = [_execute_run(cfg, r) for r in range(cfg.runs)]
     else:

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core_data import Dataset, PrivacyBudget, n_mis
 from .imputation import fit_imputation_model, impute
 from .mechanisms import RandomSource, laplace_mechanism
@@ -57,79 +55,87 @@ def available_case_mean(d: Dataset) -> float:
     return float(obs.mean())
 
 
-def run_available_case(
-    d: Dataset, epsilon: float, rng: RandomSource
+def _release(
+    strategy: str,
+    d: Dataset,
+    value: float,
+    sensitivity: float,
+    epsilon: float,
+    budget: PrivacyBudget,
+    rng: RandomSource,
 ) -> QueryResult:
-    """Drop incomplete records, release the mean of the rest.
+    """Spend ε on the analysis, then release value + Laplace(sensitivity/ε)."""
+    budget.spend("analysis", epsilon)
+    released = laplace_mechanism(value, sensitivity, epsilon, rng.split(_QUERY_STREAM))
+    return QueryResult(
+        value=released,
+        sensitivity_used=sensitivity,
+        noise_scale=sensitivity / epsilon,
+        epsilon_spent_total=budget.total_spent,
+        strategy=strategy,
+        n_mis_at_query=n_mis(d),
+        ledger=budget.ledger,
+    )
+
+
+def run_available_case(
+    d: Dataset, budget: PrivacyBudget, rng: RandomSource
+) -> QueryResult:
+    """Drop incomplete records, release the mean of the rest at the full ε.
 
     Privacy caveat (documented, not a claimed guarantee): the sensitivity
     uses the realized n_obs, which is treated as public.
     """
     value = available_case_mean(d)
-    n_obs = d.n - n_mis(d)
-    lo, hi = d.universe.response_bounds
-    sens = (hi - lo) / n_obs
-    released = laplace_mechanism(value, sens, epsilon, rng.split(_QUERY_STREAM))
-    return QueryResult(
-        value=released,
-        sensitivity_used=sens,
-        noise_scale=sens / epsilon,
-        epsilon_spent_total=epsilon,
-        strategy=AVAILABLE_CASE,
-        n_mis_at_query=n_mis(d),
-        ledger=(("analysis", epsilon),),
-    )
+    sens = mean_global_sensitivity(d.universe, d.n - n_mis(d))
+    return _release(AVAILABLE_CASE, d, value, sens, budget.epsilon_total, budget, rng)
 
 
 def run_impute_then_query(
-    d: Dataset, epsilon: float, rng: RandomSource, intercept: bool = True
+    d: Dataset, budget: PrivacyBudget, rng: RandomSource, intercept: bool = True
 ) -> QueryResult:
-    """Non-private imputation, then a DP mean with the inflated sensitivity
-    (n_mis+1)(b-a)/n from the worst-case bound.
+    """Non-private imputation, then a DP mean at the full ε with the inflated
+    sensitivity (n_mis+1)(b-a)/n from the worst-case bound.
 
     As with the available-case pipeline, the realized n_mis enters the noise
     scale; a strictly worst-case release would use the uniform bound n*Delta.
     """
     model = fit_imputation_model(d, privacy_epsilon=None, intercept=intercept)
-    completed = impute(d, model)
-    value = float(completed.response.mean())
-    k = n_mis(d)
+    value = float(impute(d, model).response.mean())
     delta = mean_global_sensitivity(d.universe, d.n)
-    sens = inflated_sensitivity(delta, k).inflated_sensitivity
-    released = laplace_mechanism(value, sens, epsilon, rng.split(_QUERY_STREAM))
-    return QueryResult(
-        value=released,
-        sensitivity_used=sens,
-        noise_scale=sens / epsilon,
-        epsilon_spent_total=epsilon,
-        strategy=IMPUTE_THEN_QUERY,
-        n_mis_at_query=k,
-        ledger=(("analysis", epsilon),),
-    )
+    sens = inflated_sensitivity(delta, n_mis(d)).inflated_sensitivity
+    return _release(IMPUTE_THEN_QUERY, d, value, sens, budget.epsilon_total, budget, rng)
 
 
 def run_dp_impute_then_query(
     d: Dataset, budget: PrivacyBudget, rng: RandomSource, intercept: bool = True
 ) -> QueryResult:
     """DP model fit at ε₁, deterministic imputation, DP mean at ε₂ with the
-    base sensitivity (b-a)/n; total spend ε₁+ε₂ by sequential composition."""
+    base sensitivity (b-a)/n; total spend ε₁+ε₂ by sequential composition.
+
+    ε₁ is spent before the fit draws its noise, so a fit that fails after
+    the draw (IrreparablePerturbationError) stays ledgered.
+    """
     eps1 = budget.epsilon_imputation
-    eps2 = budget.epsilon_analysis
+    budget.spend("imputation", eps1)
     model = fit_imputation_model(
         d, privacy_epsilon=eps1, rng=rng.split(_FIT_STREAM), intercept=intercept
     )
-    budget.spend("imputation", eps1)
-    completed = impute(d, model)
-    value = float(completed.response.mean())
+    value = float(impute(d, model).response.mean())
     sens = mean_global_sensitivity(d.universe, d.n)
-    released = laplace_mechanism(value, sens, eps2, rng.split(_QUERY_STREAM))
-    budget.spend("analysis", eps2)
-    return QueryResult(
-        value=released,
-        sensitivity_used=sens,
-        noise_scale=sens / eps2,
-        epsilon_spent_total=eps1 + eps2,
-        strategy=DP_IMPUTE_THEN_QUERY,
-        n_mis_at_query=n_mis(d),
-        ledger=budget.ledger,
+    return _release(
+        DP_IMPUTE_THEN_QUERY, d, value, sens, budget.epsilon_analysis, budget, rng
     )
+
+
+def run_strategy(
+    name: str, d: Dataset, budget: PrivacyBudget, rng: RandomSource
+) -> QueryResult:
+    """Run the strategy called ``name`` (one of ALL_STRATEGIES).
+
+    ``run_<name>`` is looked up in this module at call time, so a wrapper
+    installed on the module attribute (tracing, a test double) is honoured.
+    """
+    if name not in ALL_STRATEGIES:
+        raise ValueError(f"unknown strategy {name!r}")
+    return globals()[f"run_{name}"](d, budget, rng)

@@ -167,3 +167,75 @@ class TestQuery:
         first = capsys.readouterr().out
         main(args)
         assert capsys.readouterr().out == first
+
+
+class TestMalformedInput:
+    """Bad input from outside maps to an exit code, never a traceback."""
+
+    def write_csv(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x2,y,missing\n" + "".join(r + "\n" for r in rows))
+        return path
+
+    def test_response_outside_universe_refused(self, tmp_path, capsys):
+        data = self.write_csv(tmp_path, ["0.25,0.5,0.4,0", "0.75,0.5,50.0,0",
+                                         "0.5,0.25,,1", "0.5,0.75,0.6,0"])
+        for cmd in (["query", "--strategy", "available-case", "--epsilon", "1"],
+                    ["impute", "--out", str(tmp_path / "out.csv")]):
+            assert main([*cmd, "--data", str(data)]) == 1
+            err = capsys.readouterr().err
+            assert "row 1 y: value 50.0 outside [0.0, 1.0]" in err
+
+    def test_nan_covariate_refused(self, tmp_path, capsys):
+        data = self.write_csv(tmp_path, ["0.25,0.5,0.4,0", "0.75,0.5,0.3,0",
+                                         "0.5,nan,,1", "0.5,0.75,0.6,0", "0.1,0.2,0.3,0"])
+        code = main(["query", "--data", str(data), "--strategy", "impute",
+                     "--epsilon", "1"])
+        assert code == 1
+        assert "row 2 x2" in capsys.readouterr().err
+
+    def test_violation_list_is_capped(self, tmp_path, capsys):
+        data = self.write_csv(tmp_path, ["0.5,0.5,2.0,0"] * 12)
+        assert main(["query", "--data", str(data), "--strategy", "impute",
+                     "--epsilon", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "12 value(s)" in err and "row 9 y" in err
+        assert "row 10 y" not in err and "and 2 more" in err
+
+    @pytest.mark.parametrize("rows", [["0.3,0.4"], ["0.3,0.4,0.5,0,extra"],
+                                      ["0.3,0.4,0.5,yes"]])
+    def test_malformed_row(self, tmp_path, capsys, rows):
+        data = self.write_csv(tmp_path, ["0.1,0.2,0.3,0", *rows])
+        assert main(["query", "--data", str(data), "--strategy", "impute",
+                     "--epsilon", "1"]) == 1
+        assert "line 3" in capsys.readouterr().err
+
+    def test_empty_csv(self, tmp_path):
+        data = tmp_path / "empty.csv"
+        data.write_text("")
+        assert main(["impute", "--data", str(data), "--out",
+                     str(tmp_path / "out.csv")]) == 1
+
+    @pytest.mark.parametrize("model", [
+        {"private": False, "epsilon_spent": 0.0},
+        {"beta": [0.5, 0.5], "private": False, "epsilon_spent": None},
+        [0.5, 0.5],
+    ])
+    def test_malformed_model(self, tmp_path, capsys, model):
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(model))
+        assert main(["impute", "--data", str(data), "--out",
+                     str(tmp_path / "out.csv"), "--model", str(path)]) == 1
+        assert "bad model" in capsys.readouterr().err
+
+    def test_missing_model_file(self, tmp_path):
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        assert main(["impute", "--data", str(data), "--out",
+                     str(tmp_path / "out.csv"),
+                     "--model", str(tmp_path / "nope.json")]) == 2
+
+    def test_bad_thread_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("DPIMPUTE_THREADS", "x")
+        assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1
+        assert "DPIMPUTE_THREADS" in capsys.readouterr().err

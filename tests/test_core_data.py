@@ -135,6 +135,12 @@ class TestValidate:
         v = validate(d)
         assert len(v) == 1 and v[0].row == 1 and v[0].column == "x1"
 
+    def test_nan_covariate_flagged(self):
+        # NaN fails both bound comparisons, so it must be caught explicitly
+        d = make_dataset([[0.1], [np.nan]], [0.5, 0.8], [False, True])
+        v = validate(d)
+        assert len(v) == 1 and v[0].row == 1 and v[0].column == "x1"
+
     def test_masked_sentinel_is_ignored(self):
         # whatever value is stored under the mask, validation never reads it
         d = make_dataset([[0.1]], [0.7], [True])

@@ -53,6 +53,31 @@ class TestLaplaceSample:
         b = laplace_samples(2.0, 100, RandomSource(9))
         np.testing.assert_allclose(b, 2 * a, rtol=1e-15)
 
+    def test_scalar_draw_matches_vector_draw(self):
+        vector = laplace_samples(1.5, 1, RandomSource(6))
+        assert laplace_sample(1.5, RandomSource(6)) == vector[0]
+
+    def test_lowest_uniform_is_redrawn(self):
+        # u = -0.5 would give log1p(-1) = -inf; it is replaced by the next
+        # uniform of the same stream, and the other draws keep their values
+        class Scripted:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def uniform(self, low, high, size=None):
+                if size is None:
+                    return self.values.pop(0)
+                return np.array([self.values.pop(0) for _ in range(size)])
+
+        expected = laplace_samples(1.0, 1, Scripted([0.25]))[0]
+        assert laplace_sample(1.0, Scripted([-0.5, 0.25])) == expected
+        draws = laplace_samples(1.0, 3, Scripted([0.1, -0.5, 0.2, -0.5, 0.25]))
+        assert np.isfinite(draws).all()
+        assert draws[1] == expected
+        np.testing.assert_array_equal(
+            draws[[0, 2]], laplace_samples(1.0, 2, Scripted([0.1, 0.2]))
+        )
+
 
 class TestLaplaceMechanism:
     def test_rejects_bad_params(self):

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpimpute import (
+    BudgetExceededError,
     Dataset,
+    IrreparablePerturbationError,
     NoObservedResponsesError,
     PrivacyBudget,
     RandomSource,
@@ -19,7 +21,9 @@ from dpimpute import (
     run_available_case,
     run_dp_impute_then_query,
     run_impute_then_query,
+    run_strategy,
 )
+from dpimpute import strategies
 
 
 def make_dataset(x, y, mask, universe=None):
@@ -41,11 +45,11 @@ class TestAvailableCase:
     def test_zero_observed_rejected(self):
         d = make_dataset([[0.1], [0.2]], [0.0, 0.0], [True, True])
         with pytest.raises(NoObservedResponsesError):
-            run_available_case(d, 1.0, RandomSource(0))
+            run_available_case(d, PrivacyBudget(1.0), RandomSource(0))
 
     def test_single_observed_sensitivity_one(self):
         d = make_dataset([[0.1], [0.2]], [0.3, 0.0], [False, True])
-        res = run_available_case(d, 1.0, RandomSource(3))
+        res = run_available_case(d, PrivacyBudget(1.0), RandomSource(3))
         assert res.sensitivity_used == 1.0 and res.noise_scale == 1.0
         # value is 0.3 plus the Laplace(1) draw from the query stream
         noise = laplace_sample(1.0, RandomSource(3).split(1))
@@ -56,7 +60,7 @@ class TestAvailableCase:
         full = Dataset(
             d.covariates, d.response, np.zeros(d.n, dtype=bool), d.universe
         )
-        res = run_available_case(full, 1.0, RandomSource(2))
+        res = run_available_case(full, PrivacyBudget(1.0), RandomSource(2))
         assert res.sensitivity_used == mean_global_sensitivity(d.universe, d.n)
         assert res.n_mis_at_query == 0
 
@@ -66,7 +70,7 @@ class TestAvailableCase:
 
     def test_accounting(self):
         d = benchmark_dataset(seed=5)
-        res = run_available_case(d, 0.7, RandomSource(1))
+        res = run_available_case(d, PrivacyBudget(0.7), RandomSource(1))
         assert res.epsilon_spent_total == 0.7
         assert math.fsum(e for _, e in res.ledger) == 0.7
 
@@ -80,7 +84,7 @@ class TestImputeThenQuery:
         mask = np.ones(10, dtype=bool)
         mask[:2] = False
         d = Dataset(x, y, mask, Universe.unit(1))
-        res = run_impute_then_query(d, 1.0, RandomSource(9), intercept=False)
+        res = run_impute_then_query(d, PrivacyBudget(1.0), RandomSource(9), intercept=False)
         assert res.sensitivity_used == pytest.approx(0.9)
         assert res.noise_scale == pytest.approx(0.9)
 
@@ -89,7 +93,7 @@ class TestImputeThenQuery:
         full = Dataset(
             d.covariates, d.response, np.zeros(d.n, dtype=bool), d.universe
         )
-        res = run_impute_then_query(full, 1.0, RandomSource(11))
+        res = run_impute_then_query(full, PrivacyBudget(1.0), RandomSource(11))
         assert res.sensitivity_used == mean_global_sensitivity(d.universe, d.n)
 
     def test_sensitivity_affine_in_n_mis(self):
@@ -100,12 +104,13 @@ class TestImputeThenQuery:
             mask = np.zeros(d.n, dtype=bool)
             mask[:k] = True
             dk = Dataset(d.covariates, d.response, mask, d.universe)
-            sens.append(run_impute_then_query(dk, 1.0, RandomSource(13)).sensitivity_used)
+            res = run_impute_then_query(dk, PrivacyBudget(1.0), RandomSource(13))
+            sens.append(res.sensitivity_used)
         assert sens == [(k + 1) * delta for k in (0, 5, 50)]
 
     def test_accounting(self):
         d = benchmark_dataset(seed=14)
-        res = run_impute_then_query(d, 1.0, RandomSource(15))
+        res = run_impute_then_query(d, PrivacyBudget(1.0), RandomSource(15))
         assert res.epsilon_spent_total == 1.0
         assert math.fsum(e for _, e in res.ledger) == 1.0
 
@@ -165,3 +170,45 @@ class TestDpImputeThenQuery:
         res = run_dp_impute_then_query(d, budget, RandomSource(seed))
         assert math.fsum(e for _, e in res.ledger) == 1.0
         assert res.epsilon_spent_total == 1.0
+
+    def test_failed_fit_stays_ledgered(self):
+        # n=6 at eps=1e-3: the functional mechanism's noise swamps the
+        # quadratic for some seeds; eps1 was spent on that draw all the same
+        rng = RandomSource(0)
+        x, y = rng.uniform(size=(6, 2)), rng.uniform(size=6)
+        d = make_dataset(x, y, [False] * 5 + [True])
+        budget = PrivacyBudget(1e-3)
+        with pytest.raises(IrreparablePerturbationError):
+            run_dp_impute_then_query(d, budget, RandomSource(22))
+        assert budget.ledger == (("imputation", budget.epsilon_imputation),)
+        # a retry on the same budget cannot release a value
+        with pytest.raises(BudgetExceededError):
+            run_dp_impute_then_query(d, budget, RandomSource(0))
+
+
+class TestRunStrategy:
+    def test_looks_up_strategy_at_call_time(self, monkeypatch):
+        calls = []
+        real = strategies.run_available_case
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(strategies, "run_available_case", spy)
+        d = benchmark_dataset()
+        run_strategy("available_case", d, PrivacyBudget(1.0), RandomSource(0))
+        assert len(calls) == 1
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            run_strategy("strategy", benchmark_dataset(),
+                         PrivacyBudget(1.0), RandomSource(0))
+
+    @pytest.mark.parametrize("name", ["available_case", "impute_then_query"])
+    def test_non_imputing_strategies_spend_whole_budget(self, name):
+        budget = PrivacyBudget(0.8, imputation_share=0.25)
+        d = benchmark_dataset(seed=32)
+        res = run_strategy(name, d, budget, RandomSource(33))
+        assert budget.ledger == res.ledger == (("analysis", 0.8),)
+        assert res.noise_scale == res.sensitivity_used / 0.8
