@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import csv
+import dataclasses
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from .core_data import (
     Dataset,
     PrivacyBudget,
     Universe,
+    is_finite_real,
     read_dataset_csv,
     validate,
     write_dataset_csv,
@@ -34,19 +37,8 @@ EXIT_BAD_CONFIG = 1
 EXIT_IO = 2
 EXIT_RUNTIME = 3
 
-_SIM_CONFIG_KEYS = {
-    "n",
-    "d",
-    "beta",
-    "sigma2",
-    "epsilon",
-    "split",
-    "runs",
-    "seed",
-    "strategies",
-    "output_dir",
-    "emit_svg",
-}
+_SIM_CONFIG_KEYS = {f.name for f in dataclasses.fields(simulation.SimConfig)}
+_SIM_CONFIG_KEYS |= {"output_dir", "emit_svg"}
 
 _STRATEGY_FLAG = {
     "available-case": strategies.AVAILABLE_CASE,
@@ -90,11 +82,10 @@ def cmd_simulate(args) -> int:
     emit_svg = raw.pop("emit_svg", False)
     if not isinstance(emit_svg, bool):
         return _fail(EXIT_BAD_CONFIG, "emit_svg must be a boolean")
-    if "beta" in raw:
-        raw["beta"] = tuple(raw["beta"])
-    if "strategies" in raw:
-        raw["strategies"] = tuple(raw["strategies"])
     try:
+        for key in ("beta", "strategies"):
+            if key in raw:
+                raw[key] = tuple(raw[key])
         cfg = simulation.SimConfig(**raw)
     except (TypeError, ValueError) as exc:
         return _fail(EXIT_BAD_CONFIG, f"bad config: {exc}")
@@ -147,9 +138,13 @@ _MAX_VIOLATIONS_SHOWN = 10
 
 
 def _load_dataset(args) -> Dataset:
-    """Read the CSV; data outside the universe voids every sensitivity bound,
-    so it is refused with ValueError listing the first violations."""
-    universe = Universe((args.lo, args.hi), ((0.0, 1.0),) * args.d)
+    """Read the CSV, with d taken from its header's x columns; data outside
+    the universe voids every sensitivity bound, so it is refused with
+    ValueError listing the first violations."""
+    with open(args.data, newline="", encoding="utf-8") as fh:
+        header = next(csv.reader(fh), [])
+    d = sum(1 for column in header if column.startswith("x"))
+    universe = Universe((args.lo, args.hi), ((0.0, 1.0),) * d)
     data = read_dataset_csv(args.data, universe)
     violations = validate(data)
     if violations:
@@ -165,18 +160,24 @@ def _load_dataset(args) -> Dataset:
 
 
 def _load_model(path: str, data: Dataset) -> ImputationModel:
-    """Read a model JSON {"beta": [...], "private": bool, "epsilon_spent": float}."""
+    """Read a model JSON {"beta": [finite number, ...], "private": bool,
+    "epsilon_spent": finite number >= 0}; any other value is a ValueError."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    beta = np.asarray(raw["beta"], dtype=np.float64)
+    beta, private, spent = raw["beta"], raw["private"], raw["epsilon_spent"]
+    if not (isinstance(beta, list) and all(is_finite_real(b) for b in beta)):
+        raise ValueError("beta must be a list of finite numbers")
+    if not isinstance(private, bool):
+        raise ValueError("private must be true or false")
+    if not (is_finite_real(spent) and spent >= 0):
+        raise ValueError("epsilon_spent must be a finite number >= 0")
     fit = OlsFit(
-        beta=beta,
+        beta=np.asarray(beta, dtype=np.float64),
         sigma2_hat=0.0,
-        n_used=0,
         intercept=len(beta) == data.d + 1,
-        private=bool(raw["private"]),
-        epsilon_spent=float(raw["epsilon_spent"]),
+        private=private,
+        epsilon_spent=float(spent),
     )
-    return ImputationModel(fit=fit, stochastic=False, universe=data.universe)
+    return ImputationModel(fit=fit, stochastic=False)
 
 
 def cmd_impute(args) -> int:
@@ -237,7 +238,6 @@ def cmd_query(args) -> int:
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV (x1..xd,y,missing)")
-    p.add_argument("--d", type=int, default=2, help="number of covariate columns")
     p.add_argument("--lo", type=float, default=0.0, help="response lower bound")
     p.add_argument("--hi", type=float, default=1.0, help="response upper bound")
     p.add_argument("--seed", type=int, default=0, help="random seed")

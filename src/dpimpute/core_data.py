@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,15 @@ class Universe:
     def unit(cls, d: int) -> "Universe":
         """The [0,1] response / [0,1]^d covariate universe."""
         return cls((0.0, 1.0), ((0.0, 1.0),) * d)
+
+
+def is_finite_real(value) -> bool:
+    """A finite int or float (numpy scalars included); bool does not count."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

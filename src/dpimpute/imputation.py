@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core_data import Dataset, Universe, hamming_distance, n_mis
+from .core_data import Dataset, hamming_distance, n_mis
 from .mechanisms import OlsFit, RandomSource, functional_mechanism_ols, ols_fit
 
 
@@ -27,7 +27,6 @@ class ImputationModel:
 
     fit: OlsFit
     stochastic: bool
-    universe: Universe
 
     def __post_init__(self):
         if self.stochastic and self.fit.private:
@@ -72,7 +71,7 @@ def fit_imputation_model(
             intercept=intercept,
             response_bounds=d.universe.response_bounds,
         )
-    return ImputationModel(fit=fit, stochastic=stochastic, universe=d.universe)
+    return ImputationModel(fit=fit, stochastic=stochastic)
 
 
 def impute(

@@ -97,7 +97,6 @@ class OlsFit:
 
     beta: np.ndarray
     sigma2_hat: float
-    n_used: int
     intercept: bool
     private: bool
     epsilon_spent: float
@@ -116,63 +115,56 @@ class OlsFit:
         }
 
 
-def _augment(x: np.ndarray, intercept: bool) -> np.ndarray:
+def _moments(x: np.ndarray, y: np.ndarray, intercept: bool):
+    """Design Z (a leading column of ones with an intercept) and its
+    least-squares moments: returns (Z, Z'Z, Z'y)."""
     x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be an n x d matrix")
-    if intercept:
-        return np.column_stack([np.ones(x.shape[0]), x])
-    return x
+    z = np.column_stack([np.ones(x.shape[0]), x]) if intercept else x
+    n, p = z.shape
+    if n < p:
+        raise DegenerateDesignError(f"need at least p={p} rows, got {n}")
+    return z, z.T @ z, z.T @ y
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray, intercept: bool = False) -> OlsFit:
     """Least squares via the normal equations (LAPACK partial-pivot LU solve)."""
-    xd = _augment(x, intercept)
-    y = np.asarray(y, dtype=np.float64)
-    n, p = xd.shape
-    if n < p:
-        raise DegenerateDesignError(f"need at least p={p} rows, got {n}")
-    gram = xd.T @ xd
+    z, gram, zty = _moments(x, y, intercept)
+    n, p = z.shape
     s = np.linalg.svd(gram, compute_uv=False)
     if s[-1] <= _GRAM_RTOL * s[0]:
         raise DegenerateDesignError(
             f"Gram matrix singular within relative tolerance {_GRAM_RTOL}"
         )
-    beta = np.linalg.solve(gram, xd.T @ y)
-    resid = y - xd @ beta
+    beta = np.linalg.solve(gram, zty)
+    resid = np.asarray(y, dtype=np.float64) - z @ beta
     rss = float(resid @ resid)
     sigma2 = rss / (n - p) if n > p else 0.0
     return OlsFit(
-        beta=beta,
-        sigma2_hat=sigma2,
-        n_used=n,
-        intercept=intercept,
-        private=False,
+        beta=beta, sigma2_hat=sigma2, intercept=intercept, private=False,
         epsilon_spent=0.0,
     )
 
 
-def _check_unit_covariates(x: np.ndarray) -> None:
-    if x.size and ((x < 0.0) | (x > 1.0)).any():
-        raise ValueError("functional mechanism requires covariates in [0, 1]")
-
-
 def _perturbed_quadratic_min(
-    z: np.ndarray,
-    yp: np.ndarray,
+    gram: np.ndarray,
+    zty: np.ndarray,
     epsilon: float,
     rng: RandomSource,
     coef_bound: float,
 ):
-    """Noise the degree-1/degree-2 objective coefficients and minimize.
+    """Noise the degree-1/degree-2 objective coefficients -2Z'y and Z'Z
+    and minimize.
 
     Returns (gamma, lam1, a) where gamma minimizes lam1'g + g'Ag subject to
     the coefficient box, and ``a`` is the repaired symmetric matrix.
     """
-    n, p = z.shape
+    p = gram.shape[0]
     scale = functional_mechanism_sensitivity(p) / epsilon
-    lam1 = -2.0 * z.T @ yp + laplace_samples(scale, p, rng)
-    a = z.T @ z + laplace_samples(scale, (p, p), rng)
+    lam1 = -2.0 * zty + laplace_samples(scale, p, rng)
+    a = gram + laplace_samples(scale, (p, p), rng)
     a = (a + a.T) / 2.0
     lam_min = float(np.linalg.eigvalsh(a)[0])
     if lam_min < -10.0 * abs(np.trace(a)):
@@ -198,49 +190,38 @@ def functional_mechanism_ols(
 ) -> OlsFit:
     """ε-DP OLS via coefficient perturbation of the squared-error objective.
 
-    All attributes are mapped into [-1,1] before expansion (see
-    docs/functional_mechanism.md for the sensitivity derivation).  Without an
-    intercept only a pure response scaling is applied, so that in the ε→∞
-    limit the fit coincides exactly with :func:`ols_fit`; with an intercept
-    both covariates and response are mapped affinely and the intercept
-    absorbs the shifts, which also conditions the Gram matrix.
+    The moments are mapped into [-1,1] coordinates by one affine map,
+    z' = z t and y' = c y + o, before expansion (see
+    docs/functional_mechanism.md for the sensitivity derivation).  Without
+    an intercept t = I and o = 0, so that in the ε→∞ limit the fit coincides
+    exactly with :func:`ols_fit`; with an intercept the covariates are
+    centred (x ↦ 2x - 1), which also conditions the Gram matrix.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x must be an n x d matrix")
-    _check_unit_covariates(x)
     a_lo, a_hi = response_bounds
     if not a_lo < a_hi:
         raise ValueError(f"bad response bounds [{a_lo}, {a_hi}]")
-    n, d = x.shape
-    p = d + 1 if intercept else d
-    if n < p:
-        raise DegenerateDesignError(f"need at least p={p} rows, got {n}")
-
+    z, gram, zty = _moments(x, y, intercept)
+    # the intercept column of ones lies in [0, 1] as well
+    if z.size and ((z < 0.0) | (z > 1.0)).any():
+        raise ValueError("functional mechanism requires covariates in [0, 1]")
+    p = gram.shape[0]
+    t = np.eye(p)
     if intercept:
-        width = a_hi - a_lo
-        yp = 2.0 * (y - a_lo) / width - 1.0
-        z = np.column_stack([np.ones(n), 2.0 * x - 1.0])
-        gamma, _, _ = _perturbed_quadratic_min(z, yp, epsilon, rng, coef_bound)
-        # scaled model: y' = c + sum g_j (2 x_j - 1); back-map exactly
-        c, g = gamma[0], gamma[1:]
-        beta = np.empty(p)
-        beta[1:] = g * width
-        beta[0] = (c - g.sum() + 1.0) * width / 2.0 + a_lo
+        t[0, 1:] = -1.0  # z' = (1, 2x - 1)
+        t[1:, 1:] *= 2.0
+        c, o = 2.0 / (a_hi - a_lo), -(a_lo + a_hi) / (a_hi - a_lo)
     else:
-        s = max(abs(a_lo), abs(a_hi))
-        yp = y / s
-        gamma, _, _ = _perturbed_quadratic_min(x, yp, epsilon, rng, coef_bound)
-        beta = gamma * s
-
+        c, o = 1.0 / max(abs(a_lo), abs(a_hi)), 0.0
+    # Z'1 is the first column of Z'Z when z_0 = 1; o = 0 otherwise
+    gamma, _, _ = _perturbed_quadratic_min(
+        t.T @ gram @ t, t.T @ (c * zty + o * gram[:, 0]), epsilon, rng, coef_bound
+    )
+    # y' = z t gamma and y = (y' - o) / c, with z e0 = 1 for the intercept
+    beta = t @ gamma
+    beta[0] -= o
     return OlsFit(
-        beta=beta,
-        sigma2_hat=0.0,
-        n_used=n,
-        intercept=intercept,
-        private=True,
+        beta=beta / c, sigma2_hat=0.0, intercept=intercept, private=True,
         epsilon_spent=float(epsilon),
     )

@@ -4,13 +4,14 @@ missingness on the first covariate, and the three-strategy comparison."""
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core_data import Dataset, PrivacyBudget, Universe, n_mis
+from .core_data import Dataset, PrivacyBudget, Universe, is_finite_real, n_mis
 from .mechanisms import RandomSource
 from . import strategies as strat
 
@@ -36,10 +37,17 @@ class SimConfig:
     strategies: tuple[str, ...] = strat.ALL_STRATEGIES
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1 or self.runs < 1:
-            raise ValueError("n, d and runs must be positive")
+        for name in ("n", "d", "runs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.n < 1 or self.d < 1 or self.runs < 1 or self.seed < 0:
+            raise ValueError("n, d and runs must be positive, seed nonnegative")
         if len(self.beta) != self.d:
             raise ValueError(f"beta must have length d={self.d}")
+        for value in (*self.beta, self.sigma2):
+            if not is_finite_real(value):
+                raise ValueError(f"beta and sigma2 must be finite numbers, got {value!r}")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         if not self.epsilon > 0:

@@ -92,7 +92,7 @@ def run_available_case(
 
 
 def run_impute_then_query(
-    d: Dataset, budget: PrivacyBudget, rng: RandomSource, intercept: bool = True
+    d: Dataset, budget: PrivacyBudget, rng: RandomSource
 ) -> QueryResult:
     """Non-private imputation, then a DP mean at the full ε with the inflated
     sensitivity (n_mis+1)(b-a)/n from the worst-case bound.
@@ -100,7 +100,7 @@ def run_impute_then_query(
     As with the available-case pipeline, the realized n_mis enters the noise
     scale; a strictly worst-case release would use the uniform bound n*Delta.
     """
-    model = fit_imputation_model(d, privacy_epsilon=None, intercept=intercept)
+    model = fit_imputation_model(d, privacy_epsilon=None, intercept=True)
     value = float(impute(d, model).response.mean())
     delta = mean_global_sensitivity(d.universe, d.n)
     sens = inflated_sensitivity(delta, n_mis(d)).inflated_sensitivity
@@ -108,7 +108,7 @@ def run_impute_then_query(
 
 
 def run_dp_impute_then_query(
-    d: Dataset, budget: PrivacyBudget, rng: RandomSource, intercept: bool = True
+    d: Dataset, budget: PrivacyBudget, rng: RandomSource
 ) -> QueryResult:
     """DP model fit at ε₁, deterministic imputation, DP mean at ε₂ with the
     base sensitivity (b-a)/n; total spend ε₁+ε₂ by sequential composition.
@@ -119,7 +119,7 @@ def run_dp_impute_then_query(
     eps1 = budget.epsilon_imputation
     budget.spend("imputation", eps1)
     model = fit_imputation_model(
-        d, privacy_epsilon=eps1, rng=rng.split(_FIT_STREAM), intercept=intercept
+        d, privacy_epsilon=eps1, rng=rng.split(_FIT_STREAM), intercept=True
     )
     value = float(impute(d, model).response.mean())
     sens = mean_global_sensitivity(d.universe, d.n)

@@ -138,6 +138,34 @@ class TestImpute:
         ) == 0
 
 
+class TestCovariateCount:
+    """d is read from the CSV header; there is no flag for it."""
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_header_fixes_d(self, tmp_path, capsys, d):
+        rng = np.random.default_rng(d)
+        x = rng.uniform(size=(40, d))
+        y = np.clip(x.mean(axis=1) + rng.normal(0, 0.1, 40), 0, 1)
+        mask = np.arange(40) >= 30
+        path = tmp_path / "data.csv"
+        write_dataset_csv(Dataset(x, y, mask, Universe.unit(d)), path)
+        out = tmp_path / "completed.csv"
+        assert main(["impute", "--data", str(path), "--out", str(out),
+                     "--intercept"]) == 0
+        assert out.read_text().splitlines()[0] == ",".join(
+            [f"x{j + 1}" for j in range(d)] + ["y", "missing"])
+        assert main(["query", "--data", str(path), "--strategy", "dp-impute",
+                     "--epsilon", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_mis_at_query"] == 10
+
+    def test_header_with_gap_refused(self, tmp_path, capsys):
+        path = tmp_path / "data.csv"
+        path.write_text("x1,x3,y,missing\n0.1,0.2,0.3,0\n")
+        assert main(["query", "--data", str(path), "--strategy", "impute",
+                     "--epsilon", "1"]) == 1
+        assert "bad CSV header" in capsys.readouterr().err
+
+
 class TestQuery:
     def test_dp_impute_accounting(self, tmp_path, capsys):
         data = write_data(tmp_path, [False] * 30 + [True] * 10)
@@ -220,6 +248,11 @@ class TestMalformedInput:
         {"private": False, "epsilon_spent": 0.0},
         {"beta": [0.5, 0.5], "private": False, "epsilon_spent": None},
         [0.5, 0.5],
+        {"beta": [math.nan, 0.0, 0.0], "private": False, "epsilon_spent": 0.0},
+        {"beta": [0.5, "0.5"], "private": False, "epsilon_spent": 0.0},
+        {"beta": [0.5, 0.5], "private": "false", "epsilon_spent": 0.0},
+        {"beta": [0.5, 0.5], "private": True, "epsilon_spent": -1.0},
+        {"beta": [0.5, 0.5], "private": True, "epsilon_spent": math.inf},
     ])
     def test_malformed_model(self, tmp_path, capsys, model):
         data = write_data(tmp_path, [False] * 18 + [True, True])
@@ -228,6 +261,23 @@ class TestMalformedInput:
         assert main(["impute", "--data", str(data), "--out",
                      str(tmp_path / "out.csv"), "--model", str(path)]) == 1
         assert "bad model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"beta": ["a", "b"]},
+        {"beta": [math.nan, 0.5]},
+        {"n": 200.5},
+        {"runs": 2.5},
+        {"runs": True},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"sigma2": math.nan},
+        {"sigma2": math.inf},
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, **override)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert "bad config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_model_file(self, tmp_path):
         data = write_data(tmp_path, [False] * 18 + [True, True])

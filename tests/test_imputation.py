@@ -25,16 +25,15 @@ def make_dataset(x, y, mask, universe=None):
     return Dataset(x, np.asarray(y, dtype=float), np.asarray(mask, dtype=bool), universe)
 
 
-def model_with_beta(beta, universe, stochastic=False, sigma2=0.0):
+def model_with_beta(beta, stochastic=False, sigma2=0.0):
     fit = OlsFit(
         beta=np.asarray(beta, dtype=float),
         sigma2_hat=sigma2,
-        n_used=10,
         intercept=False,
         private=False,
         epsilon_spent=0.0,
     )
-    return ImputationModel(fit=fit, stochastic=stochastic, universe=universe)
+    return ImputationModel(fit=fit, stochastic=stochastic)
 
 
 def benchmark_dataset(seed=0, n=2000, missing=True):
@@ -87,7 +86,7 @@ class TestImpute:
         u = Universe.unit(2)
         d = make_dataset([[1.0, 1.0], [0.2, 0.2], [0.4, 0.0]],
                          [0.0, 0.2, 0.2], [True, False, False], u)
-        out = impute(d, model_with_beta([0.5, 0.5], u))
+        out = impute(d, model_with_beta([0.5, 0.5]))
         assert out.response[0] == 1.0
         assert not out.mask.any()
 
@@ -95,7 +94,7 @@ class TestImpute:
         u = Universe.unit(2)
         d = make_dataset([[1.0, 1.0], [0.2, 0.2], [0.4, 0.0]],
                          [0.0, 0.2, 0.2], [True, False, False], u)
-        out = impute(d, model_with_beta([10.0, 10.0], u))
+        out = impute(d, model_with_beta([10.0, 10.0]))
         assert out.response[0] == 1.0
 
     def test_observed_values_bit_identical(self):
@@ -116,13 +115,13 @@ class TestImpute:
         u = Universe.unit(1)
         d1 = make_dataset([[0.5], [0.3]], [0.0, 0.4], [True, False], u)
         d2 = make_dataset([[0.5], [0.9]], [0.0, 0.4], [True, False], u)
-        model = model_with_beta([0.8], u)
+        model = model_with_beta([0.8])
         assert impute(d1, model).response[0] == impute(d2, model).response[0]
 
     def test_dimension_mismatch_rejected(self):
         d = benchmark_dataset(seed=8)
         with pytest.raises(ValueError):
-            impute(d, model_with_beta([0.5], Universe.unit(1)))
+            impute(d, model_with_beta([0.5]))
 
     def test_stays_in_universe(self):
         d = benchmark_dataset(seed=9)
@@ -136,7 +135,7 @@ class TestStochasticImpute:
         u = Universe.unit(1)
         d = make_dataset([[0.5], [0.3], [0.6]], [0.0, 0.3, 0.5],
                          [True, False, False], u)
-        model = model_with_beta([0.5], u, stochastic=True, sigma2=0.01)
+        model = model_with_beta([0.5], stochastic=True, sigma2=0.01)
         with pytest.raises(ValueError):
             impute(d, model)
 
@@ -151,7 +150,7 @@ class TestStochasticImpute:
         # same record index gets the same draw regardless of which other
         # records are missing
         u = Universe.unit(1)
-        base = model_with_beta([0.5], u, stochastic=True, sigma2=0.01)
+        base = model_with_beta([0.5], stochastic=True, sigma2=0.01)
         d1 = make_dataset([[0.4], [0.6], [0.2]], [0.0, 0.3, 0.1],
                           [True, False, False], u)
         d2 = make_dataset([[0.4], [0.6], [0.2]], [0.0, 0.3, 0.0],

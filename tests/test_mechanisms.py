@@ -196,7 +196,7 @@ class TestFunctionalMechanism:
         rng = RandomSource(40)
         x = rng.uniform(size=(500, 2))
         y = x @ [0.5, 0.5]
-        gamma, lam1, a = _perturbed_quadratic_min(x, y, 10.0, rng.split(0), 10.0)
+        gamma, lam1, a = _perturbed_quadratic_min(x.T @ x, x.T @ y, 10.0, rng.split(0), 10.0)
         assert np.abs(gamma).max() < 10.0  # coefficient box inactive
         grad = 2.0 * a @ gamma + lam1
         assert np.abs(grad).max() < 1e-8

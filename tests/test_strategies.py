@@ -77,16 +77,17 @@ class TestAvailableCase:
 
 class TestImputeThenQuery:
     def test_inflated_sensitivity_small_example(self):
-        # n=10, n_mis=8: sensitivity 0.9, the tightness value at n=10
+        # n=10, n_mis=7: sensitivity (n_mis+1)(b-a)/n = 0.8; the intercept
+        # fit needs 3 complete cases
         rng = RandomSource(8)
         x = rng.uniform(size=(10, 1))
         y = rng.uniform(size=10)
         mask = np.ones(10, dtype=bool)
-        mask[:2] = False
+        mask[:3] = False
         d = Dataset(x, y, mask, Universe.unit(1))
-        res = run_impute_then_query(d, PrivacyBudget(1.0), RandomSource(9), intercept=False)
-        assert res.sensitivity_used == pytest.approx(0.9)
-        assert res.noise_scale == pytest.approx(0.9)
+        res = run_impute_then_query(d, PrivacyBudget(1.0), RandomSource(9))
+        assert res.sensitivity_used == pytest.approx(0.8)
+        assert res.noise_scale == pytest.approx(0.8)
 
     def test_no_missingness_matches_plain_dp_mean(self):
         d = benchmark_dataset(seed=10)
