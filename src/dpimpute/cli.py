@@ -78,11 +78,11 @@ def cmd_simulate(args) -> int:
     if unknown:
         return _fail(EXIT_BAD_CONFIG, f"unknown config key(s): {sorted(unknown)}")
 
-    output_dir = Path(raw.pop("output_dir", "."))
     emit_svg = raw.pop("emit_svg", False)
     if not isinstance(emit_svg, bool):
         return _fail(EXIT_BAD_CONFIG, "emit_svg must be a boolean")
     try:
+        output_dir = Path(raw.pop("output_dir", "."))
         for key in ("beta", "strategies"):
             if key in raw:
                 raw[key] = tuple(raw[key])
@@ -194,8 +194,8 @@ def cmd_impute(args) -> int:
             return _fail(EXIT_IO, f"cannot read model: {exc}")
         except (ValueError, KeyError, TypeError) as exc:
             return _fail(EXIT_BAD_CONFIG, f"bad model: {exc!r}")
-    rng = RandomSource(args.seed)
     try:
+        rng = RandomSource(args.seed)
         if not args.model:
             model = fit_imputation_model(
                 data,

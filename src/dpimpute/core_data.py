@@ -55,8 +55,13 @@ def is_finite_real(value) -> bool:
     )
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, copy=True)
+def _frozen(a, dtype) -> np.ndarray:
+    """Share a read-only ``dtype`` array that owns its memory; copy and
+    freeze anything else, a read-only view of a writable buffer included."""
+    owned = type(a) is np.ndarray and a.base is None
+    if owned and a.dtype == dtype and not a.flags.writeable:
+        return a
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -66,7 +71,9 @@ class Dataset:
     """n records of d covariates plus one partially observed response.
 
     The mask is authoritative: entries with ``mask=True`` are missing and the
-    stored response value there is an unread sentinel (NaN).
+    stored response value there is an unread sentinel (NaN).  Every observed
+    response must be finite.  A read-only input of the right dtype that owns
+    its memory (another Dataset's) is shared; any other is copied and frozen.
     """
 
     covariates: np.ndarray
@@ -75,9 +82,9 @@ class Dataset:
     universe: Universe
 
     def __post_init__(self):
-        x = np.asarray(self.covariates, dtype=np.float64)
+        x = _frozen(self.covariates, np.float64)
+        m = _frozen(self.mask, bool)
         y = np.asarray(self.response, dtype=np.float64)
-        m = np.asarray(self.mask, dtype=bool)
         if x.ndim != 2:
             raise ValueError("covariates must be an n x d matrix")
         n, d = x.shape
@@ -87,11 +94,14 @@ class Dataset:
             raise ValueError(
                 f"universe declares {self.universe.dim} covariates, data has {d}"
             )
-        y = np.array(y, copy=True)
-        y[m] = np.nan  # sentinel; never read as data
-        object.__setattr__(self, "covariates", _frozen(x))
-        object.__setattr__(self, "response", _frozen(y))
-        object.__setattr__(self, "mask", _frozen(m))
+        y = np.where(m, np.nan, y)  # sentinel; never read as data
+        # only observed entries can be finite, so they all are iff the counts match
+        if np.count_nonzero(np.isfinite(y)) != n - np.count_nonzero(m):
+            raise ValueError("observed responses must be finite")
+        y.setflags(write=False)
+        object.__setattr__(self, "covariates", x)
+        object.__setattr__(self, "response", y)
+        object.__setattr__(self, "mask", m)
 
     @property
     def n(self) -> int:

@@ -80,8 +80,9 @@ def impute(
     """Complete the dataset: observed values are untouched, each missing
     response is predicted from its own covariate row and clipped into [a, b].
 
-    Stochastic draws use per-record sub-streams keyed by record index, so
-    the output is independent of processing order.
+    A stochastic fill adds N(0, sigma2_hat) noise: record i gets the i-th of
+    n normals drawn from ``rng``, so its fill does not depend on which other
+    records are missing or on processing order.
     """
     expected = d.d + (1 if model.fit.intercept else 0)
     if len(model.fit.beta) != expected:
@@ -90,19 +91,15 @@ def impute(
         )
     if not d.mask.any():
         return d
-    missing_idx = np.nonzero(d.mask)[0]
-    preds = model.fit.predict(d.covariates[missing_idx])
+    preds = model.fit.predict(d.covariates[d.mask])
     if model.stochastic:
         if rng is None:
             raise ValueError("a RandomSource is required for stochastic imputation")
         sd = float(np.sqrt(model.fit.sigma2_hat))
-        noise = np.array(
-            [rng.split(int(i)).normal(0.0, sd) for i in missing_idx]
-        )
-        preds = preds + noise
+        preds = preds + rng.normal(0.0, sd, size=d.n)[d.mask]
     lo, hi = d.universe.response_bounds
     response = np.array(d.response)
-    response[missing_idx] = np.clip(preds, lo, hi)
+    response[d.mask] = np.clip(preds, lo, hi)
     return Dataset(
         d.covariates, response, np.zeros(d.n, dtype=bool), d.universe
     )

@@ -186,7 +186,6 @@ def functional_mechanism_ols(
     rng: RandomSource,
     intercept: bool = False,
     response_bounds: tuple[float, float] = (0.0, 1.0),
-    coef_bound: float = DEFAULT_COEF_BOUND,
 ) -> OlsFit:
     """ε-DP OLS via coefficient perturbation of the squared-error objective.
 
@@ -216,7 +215,8 @@ def functional_mechanism_ols(
         c, o = 1.0 / max(abs(a_lo), abs(a_hi)), 0.0
     # Z'1 is the first column of Z'Z when z_0 = 1; o = 0 otherwise
     gamma, _, _ = _perturbed_quadratic_min(
-        t.T @ gram @ t, t.T @ (c * zty + o * gram[:, 0]), epsilon, rng, coef_bound
+        t.T @ gram @ t, t.T @ (c * zty + o * gram[:, 0]), epsilon, rng,
+        DEFAULT_COEF_BOUND,
     )
     # y' = z t gamma and y = (y' - o) / c, with z e0 = 1 for the intercept
     beta = t @ gamma

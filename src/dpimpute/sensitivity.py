@@ -42,14 +42,6 @@ class SensitivityReport:
                 "inflated_sensitivity must equal (n_mis_used + 1) * base_sensitivity"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "base_sensitivity": self.base_sensitivity,
-            "inflated_sensitivity": self.inflated_sensitivity,
-            "n_mis_used": self.n_mis_used,
-            "bound_tight": self.bound_tight,
-        }
-
 
 def mean_global_sensitivity(u: Universe, n: int) -> float:
     """Replace-one sensitivity (b-a)/n of the mean of the response."""

@@ -272,12 +272,23 @@ class TestMalformedInput:
         {"seed": -1},
         {"sigma2": math.nan},
         {"sigma2": math.inf},
+        {"output_dir": 5},
     ])
     def test_bad_config_value(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "bad config" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", [
+        ["query", "--strategy", "impute", "--epsilon", "1"],
+        ["impute", "--out", "completed.csv"],
+    ])
+    def test_negative_seed_is_runtime_error(self, tmp_path, capsys, cmd):
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        cmd = [str(tmp_path / a) if a.endswith(".csv") else a for a in cmd]
+        assert main([*cmd, "--data", str(data), "--seed", "-1"]) == 3
+        assert "error:" in capsys.readouterr().err
 
     def test_missing_model_file(self, tmp_path):
         data = write_data(tmp_path, [False] * 18 + [True, True])

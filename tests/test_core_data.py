@@ -59,6 +59,44 @@ class TestNMis:
         assert abs(n_mis(d) - 5000) < 3 * math.sqrt(cfg.n * 0.25) * 3
 
 
+class TestDataset:
+    def test_frozen_arrays_are_shared(self):
+        d = make_dataset([[0.1], [0.2]], [0.3, 0.4], [False, True])
+        again = Dataset(d.covariates, d.response, d.mask, d.universe)
+        assert again.covariates is d.covariates and again.mask is d.mask
+        assert not again.response.flags.writeable
+
+    @pytest.mark.parametrize("read_only_view", [False, True])
+    def test_caller_writes_do_not_reach_dataset(self, read_only_view):
+        x, y, m = np.array([[0.1], [0.2]]), np.array([0.3, 0.4]), np.zeros(2, bool)
+        args = [x, y, m]
+        if read_only_view:
+            args = [a.view() for a in args]
+            for a in args:
+                a.setflags(write=False)
+        d = Dataset(*args, Universe.unit(1))
+        x[0, 0], y[0], m[0] = 0.9, 0.9, True
+        assert (d.covariates[0, 0], d.response[0], d.mask[0]) == (0.1, 0.3, False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_response_refused(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            make_dataset([[0.1], [0.2]], [0.3, bad], [True, False])
+        assert np.isnan(make_dataset([[0.1]], [bad], [True]).response[0])
+
+    def test_derived_datasets_share_covariates(self):
+        from dpimpute import (
+            SimConfig, fit_imputation_model, generate_population, impute,
+            inject_missingness,
+        )
+
+        d = generate_population(SimConfig(n=200, runs=1), RandomSource(0))
+        masked = inject_missingness(d, RandomSource(1))
+        model = fit_imputation_model(masked, privacy_epsilon=None)
+        assert masked.covariates is d.covariates
+        assert impute(masked, model).covariates is d.covariates
+
+
 class TestHamming:
     def test_identity(self):
         d = make_dataset([[0.1], [0.2]], [0.3, 0.4], [False, True])

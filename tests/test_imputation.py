@@ -146,6 +146,17 @@ class TestStochasticImpute:
         b = impute(d, model, RandomSource(55))
         np.testing.assert_array_equal(a.response, b.response)
 
+    def test_fill_is_indexed_draw_of_one_stream(self):
+        # record i gets the i-th of n normals drawn from the caller's stream
+        d = benchmark_dataset(seed=11)
+        model = fit_imputation_model(d, privacy_epsilon=None, stochastic=True)
+        out = impute(d, model, RandomSource(66))
+        sd = np.sqrt(model.fit.sigma2_hat)
+        noise = RandomSource(66).normal(0.0, sd, size=d.n)[d.mask]
+        expected = np.clip(model.fit.predict(d.covariates[d.mask]) + noise, 0.0, 1.0)
+        np.testing.assert_array_equal(out.response[d.mask], expected)
+        np.testing.assert_array_equal(out.response[~d.mask], d.observed_response)
+
     def test_per_record_streams_are_order_independent(self):
         # same record index gets the same draw regardless of which other
         # records are missing

@@ -33,12 +33,17 @@ def make_dataset(x, y, mask, universe=None):
     return Dataset(x, np.asarray(y, dtype=float), np.asarray(mask, dtype=bool), universe)
 
 
-def benchmark_dataset(seed=0, n=2000):
+def benchmark_arrays(seed=0, n=2000):
+    """Covariates, the finite response drawn before masking, and the mask."""
     rng = RandomSource(seed)
     x = rng.uniform(size=(n, 2))
     y = np.clip(x @ [0.5, 0.5] + rng.normal(0, np.sqrt(0.1), n), 0, 1)
     mask = rng.uniform(size=n) < x[:, 0]
-    return Dataset(x, y, mask, Universe.unit(2))
+    return x, y, mask
+
+
+def benchmark_dataset(seed=0, n=2000):
+    return Dataset(*benchmark_arrays(seed, n), Universe.unit(2))
 
 
 class TestAvailableCase:
@@ -56,13 +61,12 @@ class TestAvailableCase:
         assert res.value == pytest.approx(0.3 + noise)
 
     def test_no_missingness_uses_full_n(self):
-        d = benchmark_dataset(seed=1)
-        full = Dataset(
-            d.covariates, d.response, np.zeros(d.n, dtype=bool), d.universe
-        )
+        x, y, _ = benchmark_arrays(seed=1)
+        full = make_dataset(x, y, np.zeros(len(y), dtype=bool))
         res = run_available_case(full, PrivacyBudget(1.0), RandomSource(2))
-        assert res.sensitivity_used == mean_global_sensitivity(d.universe, d.n)
+        assert res.sensitivity_used == mean_global_sensitivity(full.universe, full.n)
         assert res.n_mis_at_query == 0
+        assert math.isfinite(res.value)
 
     def test_noise_free_mean_is_biased_low(self):
         d = benchmark_dataset(seed=4, n=20_000)
@@ -90,22 +94,25 @@ class TestImputeThenQuery:
         assert res.noise_scale == pytest.approx(0.8)
 
     def test_no_missingness_matches_plain_dp_mean(self):
-        d = benchmark_dataset(seed=10)
-        full = Dataset(
-            d.covariates, d.response, np.zeros(d.n, dtype=bool), d.universe
-        )
+        x, y, _ = benchmark_arrays(seed=10)
+        full = make_dataset(x, y, np.zeros(len(y), dtype=bool))
         res = run_impute_then_query(full, PrivacyBudget(1.0), RandomSource(11))
-        assert res.sensitivity_used == mean_global_sensitivity(d.universe, d.n)
+        delta = mean_global_sensitivity(full.universe, full.n)
+        assert res.sensitivity_used == delta
+        assert math.isfinite(res.value)
+        noise = laplace_sample(delta, RandomSource(11).split(1))
+        assert res.value == pytest.approx(float(y.mean()) + noise)
 
     def test_sensitivity_affine_in_n_mis(self):
-        d = benchmark_dataset(seed=12)
-        delta = mean_global_sensitivity(d.universe, d.n)
+        x, y, _ = benchmark_arrays(seed=12)
+        delta = mean_global_sensitivity(Universe.unit(2), len(y))
         sens = []
         for k in (0, 5, 50):
-            mask = np.zeros(d.n, dtype=bool)
+            mask = np.zeros(len(y), dtype=bool)
             mask[:k] = True
-            dk = Dataset(d.covariates, d.response, mask, d.universe)
+            dk = make_dataset(x, y, mask)
             res = run_impute_then_query(dk, PrivacyBudget(1.0), RandomSource(13))
+            assert math.isfinite(res.value)
             sens.append(res.sensitivity_used)
         assert sens == [(k + 1) * delta for k in (0, 5, 50)]
 
@@ -126,16 +133,16 @@ class TestDpImputeThenQuery:
         assert budget.ledger == (("imputation", 0.5), ("analysis", 0.5))
 
     def test_sensitivity_independent_of_n_mis(self):
-        d = benchmark_dataset(seed=22)
-        delta = mean_global_sensitivity(d.universe, d.n)
+        x, y, _ = benchmark_arrays(seed=22)
+        delta = mean_global_sensitivity(Universe.unit(2), len(y))
         for k in (0, 5, 50):
-            mask = np.zeros(d.n, dtype=bool)
+            mask = np.zeros(len(y), dtype=bool)
             mask[:k] = True
-            dk = Dataset(d.covariates, d.response, mask, d.universe)
             res = run_dp_impute_then_query(
-                dk, PrivacyBudget(1.0), RandomSource(23)
+                make_dataset(x, y, mask), PrivacyBudget(1.0), RandomSource(23)
             )
             assert res.sensitivity_used == delta
+            assert math.isfinite(res.value)
 
     def test_noiseless_imputation_limit(self):
         # eps1 huge: value distribution equals non-private imputation plus
@@ -154,14 +161,13 @@ class TestDpImputeThenQuery:
         assert res.value == pytest.approx(float(completed.response.mean()) + noise, abs=1e-6)
 
     def test_spends_eps1_even_without_missingness(self):
-        d = benchmark_dataset(seed=26)
-        full = Dataset(
-            d.covariates, d.response, np.zeros(d.n, dtype=bool), d.universe
-        )
+        x, y, _ = benchmark_arrays(seed=26)
+        full = make_dataset(x, y, np.zeros(len(y), dtype=bool))
         budget = PrivacyBudget(1.0)
         res = run_dp_impute_then_query(full, budget, RandomSource(27))
         assert res.epsilon_spent_total == 1.0
         assert budget.ledger[0] == ("imputation", 0.5)
+        assert math.isfinite(res.value)
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 1000))
