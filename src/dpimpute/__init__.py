@@ -22,7 +22,6 @@ from .imputation import (
 )
 from .mechanisms import (
     DegenerateDesignError,
-    IrreparablePerturbationError,
     OlsFit,
     RandomSource,
     functional_mechanism_ols,

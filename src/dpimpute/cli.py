@@ -181,6 +181,11 @@ def _load_model(path: str, data: Dataset) -> ImputationModel:
 
 
 def cmd_impute(args) -> int:
+    # a saved model fixes the fit, so these flags would have no effect
+    fit_flags = args.privacy_epsilon is not None or args.intercept or args.stochastic
+    if args.model and fit_flags:
+        return _fail(EXIT_BAD_CONFIG, "--model cannot be combined with "
+                     "--privacy-epsilon, --intercept or --stochastic")
     try:
         data = _load_dataset(args)
     except OSError as exc:

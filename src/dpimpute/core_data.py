@@ -174,8 +174,8 @@ class PrivacyBudget:
     """
 
     def __init__(self, epsilon_total: float, imputation_share: float = 0.5):
-        if not epsilon_total > 0:
-            raise ValueError("epsilon_total must be positive")
+        if not (is_finite_real(epsilon_total) and epsilon_total > 0):
+            raise ValueError("epsilon_total must be a finite positive number")
         if not 0.0 <= imputation_share < 1.0:
             raise ValueError("imputation share must lie in [0, 1)")
         self._total = float(epsilon_total)

@@ -16,14 +16,11 @@ def functional_mechanism_sensitivity(p: int) -> float:
 
 DEFAULT_COEF_BOUND = 10.0
 _GRAM_RTOL = 1e-10
+_TRIM_TAU = 1e-8  # curvature floor of the spectral trimming (Zhang et al. 2012, §5)
 
 
 class DegenerateDesignError(ValueError):
     """Design matrix is (numerically) rank deficient or has too few rows."""
-
-
-class IrreparablePerturbationError(RuntimeError):
-    """Perturbed quadratic stayed indefinite after the ridge repair."""
 
 
 class RandomSource:
@@ -156,25 +153,20 @@ def _perturbed_quadratic_min(
     coef_bound: float,
 ):
     """Noise the degree-1/degree-2 objective coefficients -2Z'y and Z'Z
-    and minimize.
+    and minimize by spectral trimming.
 
-    Returns (gamma, lam1, a) where gamma minimizes lam1'g + g'Ag subject to
-    the coefficient box, and ``a`` is the repaired symmetric matrix.
+    Returns (gamma, lam1, a) with ``a`` the symmetrised noisy matrix; gamma
+    minimizes lam1'g + g'Ag on the eigenvectors of ``a`` with eigenvalue
+    above _TRIM_TAU (0 if there are none), clipped to the coefficient box.
     """
     p = gram.shape[0]
     scale = functional_mechanism_sensitivity(p) / epsilon
     lam1 = -2.0 * zty + laplace_samples(scale, p, rng)
     a = gram + laplace_samples(scale, (p, p), rng)
     a = (a + a.T) / 2.0
-    lam_min = float(np.linalg.eigvalsh(a)[0])
-    if lam_min < -10.0 * abs(np.trace(a)):
-        raise IrreparablePerturbationError(
-            f"perturbed quadratic irrecoverable (lambda_min={lam_min:.3g})"
-        )
-    ridge = max(0.0, 1e-8 - lam_min)
-    if ridge > 0:
-        a = a + ridge * np.eye(p)
-    gamma = np.linalg.solve(2.0 * a, -lam1)
+    w, v = np.linalg.eigh(a)
+    keep = w > _TRIM_TAU
+    gamma = v[:, keep] @ ((v[:, keep].T @ -lam1) / (2.0 * w[keep]))
     gamma = np.clip(gamma, -coef_bound, coef_bound)
     return gamma, lam1, a
 

@@ -45,9 +45,9 @@ class SimConfig:
             raise ValueError("n, d and runs must be positive, seed nonnegative")
         if len(self.beta) != self.d:
             raise ValueError(f"beta must have length d={self.d}")
-        for value in (*self.beta, self.sigma2):
+        for value in (*self.beta, self.sigma2, self.epsilon, self.split):
             if not is_finite_real(value):
-                raise ValueError(f"beta and sigma2 must be finite numbers, got {value!r}")
+                raise ValueError(f"numeric settings must be finite, got {value!r}")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
         if not self.epsilon > 0:
@@ -99,6 +99,7 @@ class SimSummary:
 def generate_population(cfg: SimConfig, rng: RandomSource) -> Dataset:
     """X ~ U(0,1)^{n x d}; Y = X'beta + N(0, sigma2), clipped into [0,1]."""
     x = rng.uniform(size=(cfg.n, cfg.d))
+    x.setflags(write=False)  # so Dataset shares x instead of copying it
     y = x @ np.asarray(cfg.beta, dtype=np.float64)
     if cfg.sigma2 > 0:
         y = y + rng.normal(0.0, np.sqrt(cfg.sigma2), size=cfg.n)

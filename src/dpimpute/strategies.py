@@ -113,8 +113,8 @@ def run_dp_impute_then_query(
     """DP model fit at ε₁, deterministic imputation, DP mean at ε₂ with the
     base sensitivity (b-a)/n; total spend ε₁+ε₂ by sequential composition.
 
-    ε₁ is spent before the fit draws its noise, so a fit that fails after
-    the draw (IrreparablePerturbationError) stays ledgered.
+    ε₁ is spent before the fit, so a fit refused after the spend (e.g. for
+    covariates outside [0, 1]) stays ledgered; noise never fails the fit.
     """
     eps1 = budget.epsilon_imputation
     budget.spend("imputation", eps1)

@@ -273,6 +273,8 @@ class TestMalformedInput:
         {"sigma2": math.nan},
         {"sigma2": math.inf},
         {"output_dir": 5},
+        {"epsilon": True},
+        {"epsilon": math.inf},
     ])
     def test_bad_config_value(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
@@ -289,6 +291,20 @@ class TestMalformedInput:
         cmd = [str(tmp_path / a) if a.endswith(".csv") else a for a in cmd]
         assert main([*cmd, "--data", str(data), "--seed", "-1"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--stochastic"], ["--intercept"],
+                                      ["--privacy-epsilon", "1"]])
+    def test_model_with_fit_flag_refused(self, tmp_path, capsys, flag):
+        # a saved model fixes the fit; a fit flag next to it would be ignored
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"beta": [0.5, 0.5], "private": False,
+                                     "epsilon_spent": 0.0}))
+        out = tmp_path / "out.csv"
+        assert main(["impute", "--data", str(data), "--out", str(out),
+                     "--model", str(model), *flag]) == 1
+        assert "--model cannot be combined" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):
         data = write_data(tmp_path, [False] * 18 + [True, True])

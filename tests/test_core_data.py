@@ -224,6 +224,8 @@ class TestPrivacyBudget:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             PrivacyBudget(0.0)
+        with pytest.raises(ValueError, match="finite"):
+            PrivacyBudget(math.inf)
         with pytest.raises(ValueError):
             PrivacyBudget(1.0, imputation_share=1.0)
 

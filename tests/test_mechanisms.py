@@ -11,7 +11,8 @@ from dpimpute import (
     laplace_samples,
     ols_fit,
 )
-from dpimpute.mechanisms import _perturbed_quadratic_min
+from dpimpute import mechanisms
+from dpimpute.mechanisms import DEFAULT_COEF_BOUND, _perturbed_quadratic_min
 
 
 class TestRandomSource:
@@ -196,10 +197,52 @@ class TestFunctionalMechanism:
         rng = RandomSource(40)
         x = rng.uniform(size=(500, 2))
         y = x @ [0.5, 0.5]
-        gamma, lam1, a = _perturbed_quadratic_min(x.T @ x, x.T @ y, 10.0, rng.split(0), 10.0)
-        assert np.abs(gamma).max() < 10.0  # coefficient box inactive
-        grad = 2.0 * a @ gamma + lam1
-        assert np.abs(grad).max() < 1e-8
+        # (epsilon, stream, directions trimmed)
+        for epsilon, stream, trimmed in [(10.0, 0, 0), (1.0, 5, 1)]:
+            gamma, lam1, a = _perturbed_quadratic_min(
+                x.T @ x, x.T @ y, epsilon, rng.split(stream), 10.0
+            )
+            assert np.abs(gamma).max() < 10.0  # coefficient box inactive
+            w, v = np.linalg.eigh(a)
+            kept = v[:, w > 1e-8]
+            assert kept.shape[1] == 2 - trimmed
+            # stationary on the kept directions; trimmed ones get no coefficient
+            assert np.abs(kept.T @ (2.0 * a @ gamma + lam1)).max() < 1e-8
+            assert np.abs(v[:, w <= 1e-8].T @ gamma).max(initial=0.0) < 1e-12
+
+    @staticmethod
+    def _stub_noise(monkeypatch, vector, first, rest):
+        """Replace the Laplace draws by fixed noise: ``vector`` on every
+        degree-1 coefficient, diag(first, rest, ..., rest) on the degree-2
+        matrix."""
+        def fixed(scale, size, rng):
+            if isinstance(size, tuple):
+                return np.diag([first] + [rest] * (size[0] - 1))
+            return np.full(size, vector)
+        monkeypatch.setattr(mechanisms, "laplace_samples", fixed)
+
+    def test_negative_definite_noise_gives_midpoint(self, monkeypatch):
+        # every direction is trimmed, so gamma = 0: the midpoint predictor
+        self._stub_noise(monkeypatch, 0.0, -1e6, -1e6)
+        x = RandomSource(42).uniform(size=(50, 2))
+        y = x @ [0.5, 0.5]
+        fit = functional_mechanism_ols(
+            x, y, 1.0, RandomSource(0), intercept=True, response_bounds=(-1.0, 3.0)
+        )
+        np.testing.assert_array_equal(fit.beta, [1.0, 0.0, 0.0])
+
+    def test_indefinite_noise_gives_bounded_fit(self, monkeypatch):
+        self._stub_noise(monkeypatch, 1e6, -1e6, 0.0)
+        x = RandomSource(43).uniform(size=(50, 2))
+        y = x @ [0.5, 0.5]
+        fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0), intercept=True)
+        assert np.isfinite(fit.beta).all()
+        gamma, _, a = _perturbed_quadratic_min(
+            x.T @ x, x.T @ y, 1.0, RandomSource(0), DEFAULT_COEF_BOUND
+        )
+        w = np.linalg.eigvalsh(a)
+        assert w[0] < 0 < w[-1]
+        assert np.abs(gamma).max() <= DEFAULT_COEF_BOUND
 
     def test_mean_beta_near_truth_at_benchmark_scale(self):
         # d=2, n=10,000, beta=(0.5,0.5), sigma2=0.1, eps=0.5: approximate

@@ -48,6 +48,20 @@ class TestGeneratePopulation:
         tol = 3 * math.sqrt(VAR_Y_CLIPPED / cfg.n)
         assert abs(d.response.mean() - 0.5) < tol
 
+    def test_covariates_shared_not_copied(self):
+        drawn = []
+
+        class Source:
+            def uniform(self, size):
+                drawn.append(np.full(size, 0.5))
+                return drawn[-1]
+
+            def normal(self, loc, scale, size):
+                return np.zeros(size)
+
+        d = generate_population(SimConfig(n=10, runs=1), Source())
+        assert d.covariates is drawn[0]
+
     def test_seeded_determinism(self):
         cfg = SimConfig(n=500, runs=1)
         a = generate_population(cfg, RandomSource(3))
@@ -161,6 +175,18 @@ class TestSweep:
         cfg = self.small_cfg()
         records, _ = run_sweep(cfg)
         assert len(records) == cfg.runs * 3
+
+
+class TestFunctionalMechanismNeverFails:
+    @pytest.mark.parametrize("n, epsilon", [(100, 1.0), (300, 1.0), (1000, 0.1)])
+    def test_no_dp_impute_failures(self, n, epsilon):
+        # sizes and budgets at which the noisy quadratic is often indefinite
+        cfg = SimConfig(n=n, epsilon=epsilon, runs=400, seed=5,
+                        strategies=("dp_impute_then_query",))
+        records, failures = run_sweep(cfg, workers=1)
+        assert failures == []
+        assert len(records) == cfg.runs
+        assert all(math.isfinite(r.value) for r in records)
 
 
 class TestCsvText:

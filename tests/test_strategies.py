@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from dpimpute import (
     BudgetExceededError,
     Dataset,
-    IrreparablePerturbationError,
     NoObservedResponsesError,
     PrivacyBudget,
     RandomSource,
@@ -179,14 +178,26 @@ class TestDpImputeThenQuery:
         assert res.epsilon_spent_total == 1.0
 
     def test_failed_fit_stays_ledgered(self):
-        # n=6 at eps=1e-3: the functional mechanism's noise swamps the
-        # quadratic for some seeds; eps1 was spent on that draw all the same
         rng = RandomSource(0)
         x, y = rng.uniform(size=(6, 2)), rng.uniform(size=6)
         d = make_dataset(x, y, [False] * 5 + [True])
+        # n=6 at eps=1e-3: the noise swamps the quadratic, yet the trimmed
+        # fit releases a finite value at the full spend
         budget = PrivacyBudget(1e-3)
-        with pytest.raises(IrreparablePerturbationError):
-            run_dp_impute_then_query(d, budget, RandomSource(22))
+        res = run_dp_impute_then_query(d, budget, RandomSource(22))
+        assert math.isfinite(res.value)
+        assert budget.ledger == (("imputation", budget.epsilon_imputation),
+                                 ("analysis", budget.epsilon_analysis))
+        with pytest.raises(BudgetExceededError):
+            run_dp_impute_then_query(d, budget, RandomSource(0))
+        # a covariate outside [0, 1] is refused by the fit after eps1 was
+        # spent on it; the ledger keeps that spend
+        x[0, 0] = 1.5
+        budget = PrivacyBudget(1e-3)
+        with pytest.raises(ValueError, match=r"covariates in \[0, 1\]"):
+            run_dp_impute_then_query(
+                make_dataset(x, y, [False] * 5 + [True]), budget, RandomSource(22)
+            )
         assert budget.ledger == (("imputation", budget.epsilon_imputation),)
         # a retry on the same budget cannot release a value
         with pytest.raises(BudgetExceededError):
