@@ -128,9 +128,10 @@ def cmd_bounds(args) -> int:
             ),
             "uniform_worst_case": math.exp(args.n * args.epsilon),
         }
+        text = json.dumps(payload, allow_nan=False)
     except (ValueError, OverflowError) as exc:
         return _fail(EXIT_BAD_CONFIG, str(exc))
-    print(json.dumps(payload))
+    print(text)
     return EXIT_OK
 
 
@@ -186,6 +187,9 @@ def cmd_impute(args) -> int:
     if args.model and fit_flags:
         return _fail(EXIT_BAD_CONFIG, "--model cannot be combined with "
                      "--privacy-epsilon, --intercept or --stochastic")
+    if args.privacy_epsilon is not None and not 0 < args.privacy_epsilon < math.inf:
+        return _fail(EXIT_BAD_CONFIG, "--privacy-epsilon must be finite and "
+                     f"positive, got {args.privacy_epsilon}")
     try:
         data = _load_dataset(args)
     except OSError as exc:
@@ -237,7 +241,7 @@ def cmd_query(args) -> int:
         )
     except (ValueError, RuntimeError) as exc:
         return _fail(EXIT_RUNTIME, str(exc))
-    print(json.dumps(result.to_json_dict()))
+    print(json.dumps(dataclasses.asdict(result)))
     return EXIT_OK
 
 

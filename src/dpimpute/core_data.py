@@ -113,7 +113,7 @@ class Dataset:
 
     @property
     def observed_response(self) -> np.ndarray:
-        return self.response[~self.mask]
+        return np.compress(~self.mask, self.response)
 
 
 def n_mis(d: Dataset) -> int:
@@ -218,14 +218,14 @@ class PrivacyBudget:
 
 
 def write_dataset_csv(d: Dataset, path) -> None:
+    header = [f"x{j + 1}" for j in range(d.d)] + ["y", "missing"]
+    rows = zip(d.covariates.tolist(), d.response.tolist(), d.mask.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow([f"x{j + 1}" for j in range(d.d)] + ["y", "missing"])
-        for i in range(d.n):
-            row = [repr(float(v)) for v in d.covariates[i]]
-            row.append("" if d.mask[i] else repr(float(d.response[i])))
-            row.append("1" if d.mask[i] else "0")
-            w.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            ",".join([*map(repr, x), "" if m else repr(y), "1" if m else "0"]) + "\n"
+            for x, y, m in rows
+        )
 
 
 def read_dataset_csv(path, universe: Universe) -> Dataset:

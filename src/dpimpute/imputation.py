@@ -49,15 +49,14 @@ def fit_imputation_model(
     the functional mechanism at that budget.  The caller is responsible for
     recording the spend in its budget ledger.
     """
-    complete = ~d.mask
-    n_cc = int(complete.sum())
+    y = d.observed_response
+    n_cc = y.size
     p = d.d + (1 if intercept else 0)
     if n_cc < p + 1:
         raise TooFewCompleteCasesError(
             f"need at least {p + 1} complete cases, got {n_cc}"
         )
-    x = d.covariates[complete]
-    y = d.response[complete]
+    x = np.compress(~d.mask, d.covariates, axis=0)
     if privacy_epsilon is None:
         fit = ols_fit(x, y, intercept=intercept)
     else:
@@ -91,15 +90,14 @@ def impute(
         )
     if not d.mask.any():
         return d
-    preds = model.fit.predict(d.covariates[d.mask])
+    preds = model.fit.predict(d.covariates)
     if model.stochastic:
         if rng is None:
             raise ValueError("a RandomSource is required for stochastic imputation")
         sd = float(np.sqrt(model.fit.sigma2_hat))
-        preds = preds + rng.normal(0.0, sd, size=d.n)[d.mask]
+        preds += rng.normal(0.0, sd, size=d.n)
     lo, hi = d.universe.response_bounds
-    response = np.array(d.response)
-    response[d.mask] = np.clip(preds, lo, hi)
+    response = np.where(d.mask, np.clip(preds, lo, hi), d.response)
     return Dataset(
         d.covariates, response, np.zeros(d.n, dtype=bool), d.universe
     )

@@ -150,7 +150,6 @@ def _perturbed_quadratic_min(
     zty: np.ndarray,
     epsilon: float,
     rng: RandomSource,
-    coef_bound: float,
 ):
     """Noise the degree-1/degree-2 objective coefficients -2Z'y and Z'Z
     and minimize by spectral trimming.
@@ -167,7 +166,7 @@ def _perturbed_quadratic_min(
     w, v = np.linalg.eigh(a)
     keep = w > _TRIM_TAU
     gamma = v[:, keep] @ ((v[:, keep].T @ -lam1) / (2.0 * w[keep]))
-    gamma = np.clip(gamma, -coef_bound, coef_bound)
+    gamma = np.clip(gamma, -DEFAULT_COEF_BOUND, DEFAULT_COEF_BOUND)
     return gamma, lam1, a
 
 
@@ -188,8 +187,8 @@ def functional_mechanism_ols(
     exactly with :func:`ols_fit`; with an intercept the covariates are
     centred (x ↦ 2x - 1), which also conditions the Gram matrix.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     a_lo, a_hi = response_bounds
     if not a_lo < a_hi:
         raise ValueError(f"bad response bounds [{a_lo}, {a_hi}]")
@@ -207,8 +206,7 @@ def functional_mechanism_ols(
         c, o = 1.0 / max(abs(a_lo), abs(a_hi)), 0.0
     # Z'1 is the first column of Z'Z when z_0 = 1; o = 0 otherwise
     gamma, _, _ = _perturbed_quadratic_min(
-        t.T @ gram @ t, t.T @ (c * zty + o * gram[:, 0]), epsilon, rng,
-        DEFAULT_COEF_BOUND,
+        t.T @ gram @ t, t.T @ (c * zty + o * gram[:, 0]), epsilon, rng
     )
     # y' = z t gamma and y = (y' - o) / c, with z e0 = 1 for the intercept
     beta = t @ gamma

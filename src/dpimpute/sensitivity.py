@@ -66,8 +66,8 @@ def inflated_sensitivity(delta: float, num_missing: int) -> SensitivityReport:
 
 def group_privacy_factor(epsilon: float, k: int) -> float:
     """Multiplicative privacy-loss bound e^{k*epsilon} for k changed records."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     return math.exp(k * epsilon)
@@ -249,11 +249,8 @@ def _extrapolation_impute(d: Dataset) -> np.ndarray:
     """No-intercept regression of (y-a) through the origin, clipped imputation."""
     a, b = d.universe.response_bounds
     x = d.covariates
-    obs = ~d.mask
-    fit = ols_fit(x[obs], d.response[obs] - a)
-    out = np.array(d.response)
-    out[d.mask] = np.clip(a + fit.predict(x[d.mask]), a, b)
-    return out
+    fit = ols_fit(np.compress(~d.mask, x, axis=0), d.observed_response - a)
+    return np.where(d.mask, np.clip(a + fit.predict(x), a, b), d.response)
 
 
 def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitness:

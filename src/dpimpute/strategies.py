@@ -35,17 +35,6 @@ class QueryResult:
     n_mis_at_query: int
     ledger: tuple[tuple[str, float], ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "sensitivity_used": self.sensitivity_used,
-            "noise_scale": self.noise_scale,
-            "epsilon_spent_total": self.epsilon_spent_total,
-            "strategy": self.strategy,
-            "n_mis_at_query": self.n_mis_at_query,
-            "ledger": [list(entry) for entry in self.ledger],
-        }
-
 
 def available_case_mean(d: Dataset) -> float:
     """Noise-free mean of the observed responses (the biased estimand)."""

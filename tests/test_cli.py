@@ -87,6 +87,30 @@ class TestBounds:
         out = json.loads(capsys.readouterr().out)
         assert out["inflated_sensitivity"] == out["base_sensitivity"]
 
+    def test_output_is_strict_json(self, capsys):
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert main(
+            ["bounds", "--epsilon", "2", "--n-mis", "3", "--lo", "-1",
+             "--hi", "1", "--n", "100"]
+        ) == 0
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert out["inflated_sensitivity"] == pytest.approx(0.08)
+        assert out["group_privacy_factor"] == pytest.approx(math.exp(8))
+
+    @pytest.mark.parametrize("args", [
+        ["--epsilon", "inf", "--lo", "0", "--hi", "1"],
+        ["--epsilon", "nan", "--lo", "0", "--hi", "1"],
+        ["--epsilon", "1", "--lo=-1e308", "--hi", "1e308"],
+    ])
+    def test_non_finite_result_refused(self, capsys, args):
+        # JSON has no Infinity or NaN, so such a result is an error, not output
+        assert main(["bounds", *args, "--n-mis", "2", "--n", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_invalid_numerics(self):
         assert main(
             ["bounds", "--epsilon", "1", "--n-mis", "0", "--lo", "1",
@@ -304,6 +328,15 @@ class TestMalformedInput:
         assert main(["impute", "--data", str(data), "--out", str(out),
                      "--model", str(model), *flag]) == 1
         assert "--model cannot be combined" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1"])
+    def test_bad_privacy_epsilon_refused(self, tmp_path, capsys, epsilon):
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        out = tmp_path / "out.csv"
+        assert main(["impute", "--data", str(data), "--out", str(out),
+                     "--privacy-epsilon", epsilon]) == 1
+        assert "--privacy-epsilon must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):

@@ -252,6 +252,23 @@ class TestCsvRoundTrip:
         write_dataset_csv(d, path)
         assert path.read_text().splitlines()[1] == "0.5,,1"
 
+    def test_text_is_repr_of_each_value(self, tmp_path):
+        u = Universe((-1.0, 2e16), ((-1.0, 2e16),) * 2)
+        d = Dataset(
+            np.array([[-0.0, 5e-324], [1e16, 1 / 3], [0.25, 1.0]]),
+            np.array([5e-324, 0.5, -0.0]),
+            np.array([False, True, False]),
+            u,
+        )
+        path = tmp_path / "data.csv"
+        write_dataset_csv(d, path)
+        assert path.read_bytes() == (
+            b"x1,x2,y,missing\n"
+            b"-0.0,5e-324,5e-324,0\n"
+            b"1e+16,0.3333333333333333,,1\n"
+            b"0.25,1.0,-0.0,0\n"
+        )
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b,c\n")

@@ -129,6 +129,26 @@ class TestImpute:
         out = impute(d, model)
         assert ((out.response >= 0.0) & (out.response <= 1.0)).all()
 
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_matches_per_record_reference(self, stochastic, intercept):
+        # missing record i: prediction from its gathered row, plus the i-th of
+        # n draws when stochastic, clipped; every other record keeps its value
+        d = benchmark_dataset(seed=12, n=300)
+        model = fit_imputation_model(
+            d, privacy_epsilon=None, stochastic=stochastic, intercept=intercept
+        )
+        out = impute(d, model, RandomSource(88))
+        rows = np.nonzero(d.mask)[0]
+        preds = model.fit.predict(d.covariates[rows])
+        draws = RandomSource(88).normal(0.0, np.sqrt(model.fit.sigma2_hat), size=d.n)
+        expected = [float(v) for v in d.response]
+        for k, i in enumerate(rows):
+            pred = preds[k] + draws[i] if stochastic else preds[k]
+            expected[i] = float(np.clip(pred, 0.0, 1.0))
+        assert out.response.tolist() == expected
+        assert not out.mask.any()
+
 
 class TestStochasticImpute:
     def test_requires_rng(self):

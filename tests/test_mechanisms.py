@@ -179,8 +179,9 @@ class TestFunctionalMechanism:
     def test_rejects_bad_epsilon_and_covariates(self):
         x = np.full((5, 1), 0.5)
         y = np.full(5, 0.5)
-        with pytest.raises(ValueError):
-            functional_mechanism_ols(x, y, 0.0, RandomSource(0))
+        for epsilon in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                functional_mechanism_ols(x, y, epsilon, RandomSource(0))
         with pytest.raises(ValueError):
             functional_mechanism_ols(x + 2.0, y, 1.0, RandomSource(0))
 
@@ -200,7 +201,7 @@ class TestFunctionalMechanism:
         # (epsilon, stream, directions trimmed)
         for epsilon, stream, trimmed in [(10.0, 0, 0), (1.0, 5, 1)]:
             gamma, lam1, a = _perturbed_quadratic_min(
-                x.T @ x, x.T @ y, epsilon, rng.split(stream), 10.0
+                x.T @ x, x.T @ y, epsilon, rng.split(stream)
             )
             assert np.abs(gamma).max() < 10.0  # coefficient box inactive
             w, v = np.linalg.eigh(a)
@@ -238,7 +239,7 @@ class TestFunctionalMechanism:
         fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0), intercept=True)
         assert np.isfinite(fit.beta).all()
         gamma, _, a = _perturbed_quadratic_min(
-            x.T @ x, x.T @ y, 1.0, RandomSource(0), DEFAULT_COEF_BOUND
+            x.T @ x, x.T @ y, 1.0, RandomSource(0)
         )
         w = np.linalg.eigvalsh(a)
         assert w[0] < 0 < w[-1]

@@ -62,6 +62,11 @@ class TestGroupPrivacyFactor:
     def test_base_guarantee(self):
         assert group_privacy_factor(1.0, 1) == pytest.approx(math.e)
 
+    @pytest.mark.parametrize("epsilon", [0.0, math.inf, math.nan])
+    def test_requires_finite_positive_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon"):
+            group_privacy_factor(epsilon, 1)
+
     def test_three_changes(self):
         assert group_privacy_factor(1.0, 3) == pytest.approx(math.exp(3), rel=1e-12)
 
