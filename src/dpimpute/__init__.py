@@ -15,7 +15,6 @@ from .core_data import (
 )
 from .imputation import (
     ImputationModel,
-    TooFewCompleteCasesError,
     check_imputer_contract,
     fit_imputation_model,
     impute,

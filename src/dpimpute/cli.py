@@ -161,7 +161,7 @@ def _load_dataset(args) -> Dataset:
 
 
 def _load_model(path: str, data: Dataset) -> ImputationModel:
-    """Read a model JSON {"beta": [finite number, ...], "private": bool,
+    """Read a model JSON {"beta": [d or d+1 finite numbers], "private": bool,
     "epsilon_spent": finite number >= 0}; any other value is a ValueError."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     beta, private, spent = raw["beta"], raw["private"], raw["epsilon_spent"]
@@ -171,6 +171,8 @@ def _load_model(path: str, data: Dataset) -> ImputationModel:
         raise ValueError("private must be true or false")
     if not (is_finite_real(spent) and spent >= 0):
         raise ValueError("epsilon_spent must be a finite number >= 0")
+    if len(beta) not in (data.d, data.d + 1):
+        raise ValueError(f"beta must have {data.d} or {data.d + 1} entries")
     fit = OlsFit(
         beta=np.asarray(beta, dtype=np.float64),
         sigma2_hat=0.0,
@@ -252,8 +254,16 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_BAD_CONFIG (argparse's own 2 is EXIT_IO)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="dpimpute",
         description="Differential-privacy-aware imputation toolkit and "
         "Monte Carlo harness.",

@@ -204,8 +204,8 @@ class PrivacyBudget:
         return math.fsum(eps for _, eps in self._ledger)
 
     def spend(self, label: str, epsilon: float) -> None:
-        if epsilon < 0:
-            raise ValueError("cannot spend negative epsilon")
+        if not (is_finite_real(epsilon) and epsilon >= 0):
+            raise ValueError(f"cannot spend {epsilon!r}: need a finite number >= 0")
         if self.total_spent + epsilon > self._total + 1e-12:
             raise BudgetExceededError(
                 f"spending {epsilon} as {label!r} would exceed budget "

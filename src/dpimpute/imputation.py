@@ -12,10 +12,6 @@ from .core_data import Dataset, hamming_distance, n_mis
 from .mechanisms import OlsFit, RandomSource, functional_mechanism_ols, ols_fit
 
 
-class TooFewCompleteCasesError(ValueError):
-    """Not enough fully observed records to fit the imputation model."""
-
-
 @dataclass(frozen=True)
 class ImputationModel:
     """Fitted model used to complete a dataset.
@@ -47,15 +43,11 @@ def fit_imputation_model(
 
     ``privacy_epsilon=None`` gives a plain OLS fit; a positive value fits via
     the functional mechanism at that budget.  The caller is responsible for
-    recording the spend in its budget ledger.
+    recording the spend in its budget ledger.  A plain fit on a singular
+    design raises DegenerateDesignError; a private fit takes any number of
+    complete cases, zero included.
     """
     y = d.observed_response
-    n_cc = y.size
-    p = d.d + (1 if intercept else 0)
-    if n_cc < p + 1:
-        raise TooFewCompleteCasesError(
-            f"need at least {p + 1} complete cases, got {n_cc}"
-        )
     x = np.compress(~d.mask, d.covariates, axis=0)
     if privacy_epsilon is None:
         fit = ols_fit(x, y, intercept=intercept)

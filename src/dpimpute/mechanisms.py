@@ -20,7 +20,7 @@ _TRIM_TAU = 1e-8  # curvature floor of the spectral trimming (Zhang et al. 2012,
 
 
 class DegenerateDesignError(ValueError):
-    """Design matrix is (numerically) rank deficient or has too few rows."""
+    """Design matrix is (numerically) rank deficient, e.g. fewer rows than columns."""
 
 
 class RandomSource:
@@ -114,29 +114,26 @@ class OlsFit:
 
 def _moments(x: np.ndarray, y: np.ndarray, intercept: bool):
     """Design Z (a leading column of ones with an intercept) and its
-    least-squares moments: returns (Z, Z'Z, Z'y)."""
+    least-squares moments: returns (Z, y, Z'Z, Z'y)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be an n x d matrix")
     z = np.column_stack([np.ones(x.shape[0]), x]) if intercept else x
-    n, p = z.shape
-    if n < p:
-        raise DegenerateDesignError(f"need at least p={p} rows, got {n}")
-    return z, z.T @ z, z.T @ y
+    return z, y, z.T @ z, z.T @ y
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray, intercept: bool = False) -> OlsFit:
     """Least squares via the normal equations (LAPACK partial-pivot LU solve)."""
-    z, gram, zty = _moments(x, y, intercept)
+    z, y, gram, zty = _moments(x, y, intercept)
     n, p = z.shape
     s = np.linalg.svd(gram, compute_uv=False)
     if s[-1] <= _GRAM_RTOL * s[0]:
         raise DegenerateDesignError(
-            f"Gram matrix singular within relative tolerance {_GRAM_RTOL}"
+            f"{n} rows and {p} columns give a singular Gram matrix (rtol {_GRAM_RTOL})"
         )
     beta = np.linalg.solve(gram, zty)
-    resid = np.asarray(y, dtype=np.float64) - z @ beta
+    resid = y - z @ beta
     rss = float(resid @ resid)
     sigma2 = rss / (n - p) if n > p else 0.0
     return OlsFit(
@@ -192,10 +189,12 @@ def functional_mechanism_ols(
     a_lo, a_hi = response_bounds
     if not a_lo < a_hi:
         raise ValueError(f"bad response bounds [{a_lo}, {a_hi}]")
-    z, gram, zty = _moments(x, y, intercept)
-    # the intercept column of ones lies in [0, 1] as well
-    if z.size and ((z < 0.0) | (z > 1.0)).any():
+    z, y, gram, zty = _moments(x, y, intercept)
+    # Δ_FM needs data in range (ones included); NaN fails both checks
+    if z.size and not (0.0 <= z.min() and z.max() <= 1.0):
         raise ValueError("functional mechanism requires covariates in [0, 1]")
+    if y.size and not (a_lo <= y.min() and y.max() <= a_hi):
+        raise ValueError(f"functional mechanism requires y in [{a_lo}, {a_hi}]")
     p = gram.shape[0]
     t = np.eye(p)
     if intercept:

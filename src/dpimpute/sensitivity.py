@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core_data import Dataset, Universe
-from .mechanisms import ols_fit
+from .imputation import fit_imputation_model, impute
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -245,21 +245,15 @@ class TightnessWitness:
     report: SensitivityReport
 
 
-def _extrapolation_impute(d: Dataset) -> np.ndarray:
-    """No-intercept regression of (y-a) through the origin, clipped imputation."""
-    a, b = d.universe.response_bounds
-    x = d.covariates
-    fit = ols_fit(np.compress(~d.mask, x, axis=0), d.observed_response - a)
-    return np.where(d.mask, np.clip(a + fit.predict(x), a, b), d.response)
-
-
 def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitness:
     """Neighbor pair on which one flipped response drives all imputed values
     across the full range, achieving gap = (n-1)(b-a)/n exactly.
 
-    Two complete cases sit at covariate 1 with responses (a, a) versus
-    (a, b); the n-2 missing records sit at covariate 4, where the fitted
-    slope extrapolates past b and is clipped.
+    Each side is imputed as impute-then-query does it: an OLS fit with an
+    intercept on the complete cases, then clipped prediction.  The two
+    complete cases sit at covariates 0 and 1 with responses (a, a) versus
+    (a, b); the n-2 missing records sit at covariate 4, where the second
+    fitted line extrapolates past b and is clipped.
     """
     if n < 3:
         raise ValueError(f"construction needs n >= 3, got {n}")
@@ -267,8 +261,7 @@ def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitn
         raise ValueError(f"need a < b, got a={a}, b={b}")
     universe = Universe((a, b), ((0.0, 4.0),))
     x = np.full((n, 1), 4.0)
-    x[0, 0] = 1.0
-    x[1, 0] = 1.0
+    x[:2, 0] = (0.0, 1.0)
     mask = np.ones(n, dtype=bool)
     mask[:2] = False
     y1 = np.full(n, a)
@@ -276,9 +269,11 @@ def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitn
     y2[1] = b
     d1 = Dataset(x, y1, mask, universe)
     d2 = Dataset(x, y2, mask, universe)
-    gap = abs(
-        float(_extrapolation_impute(d1).mean()) - float(_extrapolation_impute(d2).mean())
-    )
+    means = [
+        float(impute(d, fit_imputation_model(d, None, intercept=True)).response.mean())
+        for d in (d1, d2)
+    ]
+    gap = abs(means[0] - means[1])
     delta = (b - a) / n
     report = SensitivityReport(
         base_sensitivity=delta,

@@ -57,6 +57,8 @@ class SimConfig:
         unknown = set(self.strategies) - set(strat.ALL_STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ValueError(f"duplicate strategies: {list(self.strategies)}")
 
 
 @dataclass(frozen=True)

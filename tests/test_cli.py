@@ -99,6 +99,21 @@ class TestBounds:
         assert out["inflated_sensitivity"] == pytest.approx(0.08)
         assert out["group_privacy_factor"] == pytest.approx(math.exp(8))
 
+    def test_usage_error_exits_bad_config(self, capsys):
+        # argparse reads "-1e3" as an option, not a value; its usage exit
+        # would be 2, which means an I/O error here
+        argv = ["bounds", "--epsilon", "1", "--n-mis", "0", "--hi", "1",
+                "--n", "10"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--lo", "-1e3"])
+        assert exc.value.code == 1
+        assert "--lo: expected one argument" in capsys.readouterr().err
+        for bad in (["bounds"], ["query", "--data", "x.csv"], ["nope"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 1
+        assert main([*argv, "--lo=-1e3"]) == 0
+
     @pytest.mark.parametrize("args", [
         ["--epsilon", "inf", "--lo", "0", "--hi", "1"],
         ["--epsilon", "nan", "--lo", "0", "--hi", "1"],
@@ -277,6 +292,7 @@ class TestMalformedInput:
         {"beta": [0.5, 0.5], "private": "false", "epsilon_spent": 0.0},
         {"beta": [0.5, 0.5], "private": True, "epsilon_spent": -1.0},
         {"beta": [0.5, 0.5], "private": True, "epsilon_spent": math.inf},
+        {"beta": [0.5, 0.5, 0.5, 0.5], "private": False, "epsilon_spent": 0.0},
     ])
     def test_malformed_model(self, tmp_path, capsys, model):
         data = write_data(tmp_path, [False] * 18 + [True, True])
@@ -299,6 +315,7 @@ class TestMalformedInput:
         {"output_dir": 5},
         {"epsilon": True},
         {"epsilon": math.inf},
+        {"strategies": ["available_case", "available_case"]},
     ])
     def test_bad_config_value(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)

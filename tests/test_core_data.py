@@ -221,6 +221,16 @@ class TestPrivacyBudget:
             rel_tol=1e-12,
         )
 
+    def test_spend_refuses_non_finite_epsilon(self):
+        # a NaN entry would make every later budget comparison false
+        b = PrivacyBudget(1.0)
+        for bad in (math.nan, math.inf, -0.5, True, "0.5"):
+            with pytest.raises(ValueError, match="finite"):
+                b.spend("x", bad)
+        assert b.ledger == ()
+        with pytest.raises(BudgetExceededError):
+            b.spend("y", 5.0)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             PrivacyBudget(0.0)

@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from dpimpute import (
     Dataset,
+    DegenerateDesignError,
     ImputationModel,
     OlsFit,
     RandomSource,
-    TooFewCompleteCasesError,
     Universe,
     check_imputer_contract,
     fit_imputation_model,
@@ -65,7 +65,7 @@ class TestFitImputationModel:
 
     def test_all_missing_rejected(self):
         d = make_dataset([[0.1], [0.2], [0.3]], [0.0, 0.0, 0.0], [True, True, True])
-        with pytest.raises(TooFewCompleteCasesError):
+        with pytest.raises(DegenerateDesignError, match="0 rows and 1 columns"):
             fit_imputation_model(d, privacy_epsilon=None)
 
     def test_stochastic_with_private_fit_rejected(self):

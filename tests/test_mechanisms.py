@@ -145,8 +145,10 @@ class TestOlsFit:
             ols_fit(x, np.ones(10))
 
     def test_too_few_rows_rejected(self):
-        with pytest.raises(DegenerateDesignError):
-            ols_fit(np.ones((1, 2)), np.ones(1))
+        # the Gram check is the only size refusal; its message names the sizes
+        for n in (0, 1):
+            with pytest.raises(DegenerateDesignError, match=f"{n} rows and 2 columns"):
+                ols_fit(np.ones((n, 2)), np.ones(n))
 
 
 class TestFunctionalMechanism:
@@ -170,11 +172,38 @@ class TestFunctionalMechanism:
         ols = ols_fit(x, y, intercept=True)
         np.testing.assert_allclose(fm.beta, ols.beta, atol=1e-6)
 
-    def test_empty_design_rejected(self):
-        with pytest.raises(DegenerateDesignError):
-            functional_mechanism_ols(
-                np.empty((0, 2)), np.empty(0), 1.0, RandomSource(0)
-            )
+    def test_empty_design_gives_bounded_fit(self):
+        # no rows: the mechanism minimises pure noise, trimmed and clipped to
+        # the coefficient box; ε-DP needs no size check
+        x, y = np.empty((0, 2)), np.empty(0)
+        fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0))
+        assert np.isfinite(fit.beta).all()
+        assert np.abs(fit.beta).max() <= DEFAULT_COEF_BOUND
+        # with an intercept and [0, 1] responses, β = (tγ + e₀) / 2
+        fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0), intercept=True)
+        assert np.isfinite(fit.beta).all()
+        assert np.abs(fit.beta[1:]).max() <= DEFAULT_COEF_BOUND
+        assert abs(fit.beta[0]) <= (3 * DEFAULT_COEF_BOUND + 1) / 2
+
+    def test_rejects_data_outside_its_range_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew noise for refused data")
+
+        monkeypatch.setattr(mechanisms, "laplace_samples", no_draw)
+        x = np.full((5, 2), 0.5)
+        y = np.full(5, 0.5)
+        bad_x = x.copy()
+        bad_x[2, 1] = np.nan
+        with pytest.raises(ValueError, match="covariates"):
+            functional_mechanism_ols(bad_x, y, 1.0, RandomSource(0))
+        for value in (50.0, -0.1, np.nan):
+            bad_y = y.copy()
+            bad_y[3] = value
+            with pytest.raises(ValueError, match=r"y in \[0.0, 1.0\]"):
+                functional_mechanism_ols(x, bad_y, 1.0, RandomSource(0))
+        with pytest.raises(ValueError, match=r"y in \[2.0, 3.0\]"):
+            functional_mechanism_ols(x, y, 1.0, RandomSource(0),
+                                     response_bounds=(2.0, 3.0))
 
     def test_rejects_bad_epsilon_and_covariates(self):
         x = np.full((5, 1), 0.5)

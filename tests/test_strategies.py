@@ -80,8 +80,8 @@ class TestAvailableCase:
 
 class TestImputeThenQuery:
     def test_inflated_sensitivity_small_example(self):
-        # n=10, n_mis=7: sensitivity (n_mis+1)(b-a)/n = 0.8; the intercept
-        # fit needs 3 complete cases
+        # n=10, n_mis=7: sensitivity (n_mis+1)(b-a)/n = 0.8; 3 complete cases
+        # give the intercept fit a nonsingular design
         rng = RandomSource(8)
         x = rng.uniform(size=(10, 1))
         y = rng.uniform(size=10)
@@ -167,6 +167,31 @@ class TestDpImputeThenQuery:
         assert res.epsilon_spent_total == 1.0
         assert budget.ledger[0] == ("imputation", 0.5)
         assert math.isfinite(res.value)
+
+    @pytest.mark.parametrize("n_cc", range(5))
+    def test_releases_at_every_complete_case_count(self, n_cc):
+        # p = 3 with the intercept: from no complete case to p + 1 of them
+        x, y, _ = benchmark_arrays(seed=34, n=8)
+        mask = np.arange(8) >= n_cc
+        budget = PrivacyBudget(1.0)
+        res = run_dp_impute_then_query(make_dataset(x, y, mask), budget,
+                                       RandomSource(35))
+        assert math.isfinite(res.value)
+        assert budget.ledger == (("imputation", 0.5), ("analysis", 0.5))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+                              st.booleans()), min_size=1, max_size=12),
+           st.integers(0, 1000))
+    def test_releases_for_every_small_dataset(self, records, seed):
+        # the private path has no size refusal: any n and any mask release
+        x = np.array([r[:2] for r in records])
+        y = np.array([r[2] for r in records])
+        mask = np.array([r[3] for r in records])
+        res = run_dp_impute_then_query(make_dataset(x, y, mask),
+                                       PrivacyBudget(1.0), RandomSource(seed))
+        assert math.isfinite(res.value)
+        assert res.ledger == (("imputation", 0.5), ("analysis", 0.5))
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([0.1, 0.5, 0.9]), st.integers(0, 1000))
