@@ -85,6 +85,8 @@ def cmd_simulate(args) -> int:
         output_dir = Path(raw.pop("output_dir", "."))
         for key in ("beta", "strategies"):
             if key in raw:
+                if not isinstance(raw[key], list):
+                    raise ValueError(f"{key} must be a JSON list, got {raw[key]!r}")
                 raw[key] = tuple(raw[key])
         cfg = simulation.SimConfig(**raw)
     except (TypeError, ValueError) as exc:

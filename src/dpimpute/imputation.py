@@ -82,16 +82,16 @@ def impute(
         )
     if not d.mask.any():
         return d
-    preds = model.fit.predict(d.covariates)
+    fill = model.fit.predict(d.covariates)
     if model.stochastic:
         if rng is None:
             raise ValueError("a RandomSource is required for stochastic imputation")
         sd = float(np.sqrt(model.fit.sigma2_hat))
-        preds += rng.normal(0.0, sd, size=d.n)
+        fill += rng.normal(0.0, sd, size=d.n)
     lo, hi = d.universe.response_bounds
-    response = np.where(d.mask, np.clip(preds, lo, hi), d.response)
+    fill = np.where(d.mask, np.clip(fill, lo, hi, out=fill), d.response)
     return Dataset(
-        d.covariates, response, np.zeros(d.n, dtype=bool), d.universe
+        d.covariates, fill, np.zeros(d.n, dtype=bool), d.universe
     )
 
 

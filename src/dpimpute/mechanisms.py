@@ -113,28 +113,31 @@ class OlsFit:
 
 
 def _moments(x: np.ndarray, y: np.ndarray, intercept: bool):
-    """Design Z (a leading column of ones with an intercept) and its
-    least-squares moments: returns (Z, y, Z'Z, Z'y)."""
+    """Least-squares moments (Z'Z, Z'y, y'y) of the design Z, which is x with
+    a leading column of ones when there is an intercept; Z is never formed."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be an n x d matrix")
-    z = np.column_stack([np.ones(x.shape[0]), x]) if intercept else x
-    return z, y, z.T @ z, z.T @ y
+    gram, zty = x.T @ x, x.T @ y
+    if intercept:  # border with Z'1 = (n, Σx) and 1'y = Σy
+        sx = np.array([c.sum() for c in x.T])
+        gram = np.block([[float(x.shape[0]), sx], [sx[:, None], gram]])
+        zty = np.concatenate(([y.sum()], zty))
+    return gram, zty, float(y @ y)
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray, intercept: bool = False) -> OlsFit:
     """Least squares via the normal equations (LAPACK partial-pivot LU solve)."""
-    z, y, gram, zty = _moments(x, y, intercept)
-    n, p = z.shape
+    gram, zty, yty = _moments(x, y, intercept)
+    n, p = len(x), gram.shape[0]
     s = np.linalg.svd(gram, compute_uv=False)
     if s[-1] <= _GRAM_RTOL * s[0]:
         raise DegenerateDesignError(
             f"{n} rows and {p} columns give a singular Gram matrix (rtol {_GRAM_RTOL})"
         )
     beta = np.linalg.solve(gram, zty)
-    resid = y - z @ beta
-    rss = float(resid @ resid)
+    rss = max(yty - float(beta @ zty), 0.0)  # |y - Zβ|² once Z'Zβ = Z'y
     sigma2 = rss / (n - p) if n > p else 0.0
     return OlsFit(
         beta=beta, sigma2_hat=sigma2, intercept=intercept, private=False,
@@ -189,9 +192,11 @@ def functional_mechanism_ols(
     a_lo, a_hi = response_bounds
     if not a_lo < a_hi:
         raise ValueError(f"bad response bounds [{a_lo}, {a_hi}]")
-    z, y, gram, zty = _moments(x, y, intercept)
-    # Δ_FM needs data in range (ones included); NaN fails both checks
-    if z.size and not (0.0 <= z.min() and z.max() <= 1.0):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    gram, zty, _ = _moments(x, y, intercept)
+    # Δ_FM needs data in range; NaN fails both checks
+    if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
         raise ValueError("functional mechanism requires covariates in [0, 1]")
     if y.size and not (a_lo <= y.min() and y.max() <= a_hi):
         raise ValueError(f"functional mechanism requires y in [{a_lo}, {a_hi}]")

@@ -54,6 +54,8 @@ class SimConfig:
             raise ValueError("epsilon must be positive")
         if not 0.0 <= self.split < 1.0:
             raise ValueError("split must lie in [0, 1)")
+        if not self.strategies:
+            raise ValueError("strategies must name at least one strategy")
         unknown = set(self.strategies) - set(strat.ALL_STRATEGIES)
         if unknown:
             raise ValueError(f"unknown strategies: {sorted(unknown)}")

@@ -316,11 +316,24 @@ class TestMalformedInput:
         {"epsilon": True},
         {"epsilon": math.inf},
         {"strategies": ["available_case", "available_case"]},
+        {"strategies": []},
     ])
     def test_bad_config_value(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "bad config" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override", [
+        {"strategies": "available_case"},
+        {"beta": "05"},
+    ])
+    def test_config_string_for_list_refused(self, tmp_path, capsys, override):
+        # a string is not split into its characters
+        (key,) = override
+        cfg = write_config(tmp_path, **override)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert f"bad config: {key} must be a JSON list" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cmd", [

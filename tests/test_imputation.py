@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,25 @@ class TestImpute:
             expected[i] = float(np.clip(pred, 0.0, 1.0))
         assert out.response.tolist() == expected
         assert not out.mask.any()
+
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_peak_allocation(self, stochastic, intercept):
+        # the predictions are clipped in place and released before Dataset
+        # copies the completed response: about 2.4 response-sized arrays
+        n = 200_000
+        d = benchmark_dataset(seed=5, n=n)
+        model = fit_imputation_model(
+            d, privacy_epsilon=None, stochastic=stochastic, intercept=intercept
+        )
+        rng = RandomSource(6)
+        tracemalloc.start()
+        try:
+            impute(d, model, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n
 
 
 class TestStochasticImpute:

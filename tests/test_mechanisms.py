@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,11 @@ from dpimpute import (
     ols_fit,
 )
 from dpimpute import mechanisms
-from dpimpute.mechanisms import DEFAULT_COEF_BOUND, _perturbed_quadratic_min
+from dpimpute.mechanisms import (
+    DEFAULT_COEF_BOUND,
+    _moments,
+    _perturbed_quadratic_min,
+)
 
 
 class TestRandomSource:
@@ -110,6 +116,8 @@ class TestOlsFit:
         fit = ols_fit(x, y)
         np.testing.assert_allclose(fit.beta, [0.5, 0.5], atol=1e-10)
         assert abs(fit.sigma2_hat) < 1e-12
+        # σ̂² from the moments cancels y'y against β'Z'y; it stays at rounding level
+        assert 0.0 <= fit.sigma2_hat <= 1e-13 * float(y @ y) / (50 - 2)
         assert not fit.private and fit.epsilon_spent == 0.0
 
     def test_two_point_line(self):
@@ -139,6 +147,17 @@ class TestOlsFit:
         resid = y - xd @ fit.beta
         assert np.abs(xd.T @ resid).max() < 1e-8
 
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_sigma2_matches_residual_pass(self, intercept):
+        rng = RandomSource(9)
+        x = rng.uniform(size=(300, 2))
+        y = x @ [0.4, 0.3] + rng.normal(0, 0.2, 300)
+        fit = ols_fit(x, y, intercept=intercept)
+        z = np.column_stack([np.ones(300), x]) if intercept else x
+        resid = y - z @ fit.beta
+        expected = float(resid @ resid) / (300 - z.shape[1])
+        np.testing.assert_allclose(fit.sigma2_hat, expected, rtol=1e-12)
+
     def test_singular_design_rejected(self):
         x = np.ones((10, 2))  # perfectly collinear columns
         with pytest.raises(DegenerateDesignError):
@@ -149,6 +168,46 @@ class TestOlsFit:
         for n in (0, 1):
             with pytest.raises(DegenerateDesignError, match=f"{n} rows and 2 columns"):
                 ols_fit(np.ones((n, 2)), np.ones(n))
+
+
+class TestMoments:
+    @pytest.mark.parametrize("intercept", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 257])
+    def test_match_explicit_design(self, n, d, intercept):
+        rng = RandomSource(n + d)
+        x = rng.uniform(size=(n, d))
+        y = rng.uniform(size=n)
+        gram, zty, yty = _moments(x, y, intercept)
+        z = np.column_stack([np.ones(n), x]) if intercept else x
+        p = d + intercept
+        assert gram.shape == (p, p) and zty.shape == (p,)
+        np.testing.assert_allclose(gram, z.T @ z, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(zty, z.T @ y, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(yty, y @ y, rtol=1e-12, atol=0)
+        if n == 0:
+            assert not gram.any() and not zty.any() and yty == 0.0
+
+    def test_fits_allocate_no_design(self):
+        # 2e5 x 2 covariates: a design copy or a residual vector is >= 1.6 MB
+        rng = RandomSource(4)
+        x = rng.uniform(size=(200_000, 2))
+        y = rng.uniform(size=200_000)
+        fits = [
+            lambda: ols_fit(x, y),
+            lambda: ols_fit(x, y, intercept=True),
+            lambda: functional_mechanism_ols(
+                x, y, 1.0, RandomSource(0), intercept=True
+            ),
+        ]
+        for fit in fits:
+            tracemalloc.start()
+            try:
+                fit()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.1e6
 
 
 class TestFunctionalMechanism:
