@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -91,12 +90,10 @@ def cmd_simulate(args) -> int:
         cfg = simulation.SimConfig(**raw)
     except (TypeError, ValueError) as exc:
         return _fail(EXIT_BAD_CONFIG, f"bad config: {exc}")
-    try:
-        workers = simulation.worker_count(args.workers)
-    except ValueError as exc:
-        return _fail(EXIT_BAD_CONFIG, f"bad DPIMPUTE_THREADS: {exc}")
+    if args.workers < 0:
+        return _fail(EXIT_BAD_CONFIG, f"--workers must be >= 0, got {args.workers}")
 
-    records, failures = simulation.run_sweep(cfg, workers=workers)
+    records, failures = simulation.run_sweep(cfg, workers=args.workers)
     if not records:
         return _fail(EXIT_RUNTIME, "all runs failed")
     summary = simulation.summarize_runs(cfg, records, failures)
@@ -141,14 +138,9 @@ _MAX_VIOLATIONS_SHOWN = 10
 
 
 def _load_dataset(args) -> Dataset:
-    """Read the CSV, with d taken from its header's x columns; data outside
-    the universe voids every sensitivity bound, so it is refused with
-    ValueError listing the first violations."""
-    with open(args.data, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
-    d = sum(1 for column in header if column.startswith("x"))
-    universe = Universe((args.lo, args.hi), ((0.0, 1.0),) * d)
-    data = read_dataset_csv(args.data, universe)
+    """Read the CSV; data outside the universe voids every sensitivity
+    bound, so it is refused with ValueError listing the first violations."""
+    data = read_dataset_csv(args.data, (args.lo, args.hi))
     violations = validate(data)
     if violations:
         shown = [f"row {v.row} {v.column}: {v.message}"
@@ -222,10 +214,11 @@ def cmd_impute(args) -> int:
         return _fail(EXIT_RUNTIME, str(exc))
     try:
         write_dataset_csv(completed, args.out)
-        if args.save_model:
-            _atomic_write_text(
-                Path(args.save_model), json.dumps(model.fit.to_json_dict()) + "\n"
-            )
+        if args.save_model:  # the format _load_model reads
+            fit = model.fit
+            text = json.dumps({"beta": fit.beta.tolist(), "private": fit.private,
+                               "epsilon_spent": fit.epsilon_spent})
+            _atomic_write_text(Path(args.save_model), text + "\n")
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write output: {exc}")
     return EXIT_OK
@@ -277,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker processes (default: DPIMPUTE_THREADS env var, 0 = auto)",
+        default=1,
+        help="worker processes (default 1, 0 = one per CPU)",
     )
     p.set_defaults(func=cmd_simulate)
 

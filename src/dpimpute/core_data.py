@@ -74,6 +74,7 @@ class Dataset:
     stored response value there is an unread sentinel (NaN).  Every observed
     response must be finite.  A read-only input of the right dtype that owns
     its memory (another Dataset's) is shared; any other is copied and frozen.
+    A masked response is always copied once, to write the sentinel.
     """
 
     covariates: np.ndarray
@@ -84,21 +85,23 @@ class Dataset:
     def __post_init__(self):
         x = _frozen(self.covariates, np.float64)
         m = _frozen(self.mask, bool)
-        y = np.asarray(self.response, dtype=np.float64)
+        y = self.response
         if x.ndim != 2:
             raise ValueError("covariates must be an n x d matrix")
         n, d = x.shape
-        if y.shape != (n,) or m.shape != (n,):
+        if np.shape(y) != (n,) or m.shape != (n,):
             raise ValueError("response/mask length must match the number of records")
         if d != self.universe.dim:
             raise ValueError(
                 f"universe declares {self.universe.dim} covariates, data has {d}"
             )
-        y = np.where(m, np.nan, y)  # sentinel; never read as data
+        if m.any():
+            y = np.where(m, np.nan, y)  # sentinel; never read as data
+            y.setflags(write=False)
+        y = _frozen(y, np.float64)
         # only observed entries can be finite, so they all are iff the counts match
         if np.count_nonzero(np.isfinite(y)) != n - np.count_nonzero(m):
             raise ValueError("observed responses must be finite")
-        y.setflags(write=False)
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "response", y)
         object.__setattr__(self, "mask", m)
@@ -118,7 +121,7 @@ class Dataset:
 
 def n_mis(d: Dataset) -> int:
     """Number of records with a missing response."""
-    return int(d.mask.sum())
+    return int(np.count_nonzero(d.mask))
 
 
 def hamming_distance(d1: Dataset, d2: Dataset) -> int:
@@ -228,14 +231,17 @@ def write_dataset_csv(d: Dataset, path) -> None:
         )
 
 
-def read_dataset_csv(path, universe: Universe) -> Dataset:
+def read_dataset_csv(path, response_bounds: tuple[float, float]) -> Dataset:
+    """Read a dataset whose header fixes d; its universe is the response
+    bounds with [0, 1] for every covariate."""
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
         header = next(r, None)
-        d = universe.dim
+        d = len(header or ()) - 2
         expected = [f"x{j + 1}" for j in range(d)] + ["y", "missing"]
         if header != expected:
             raise ValueError(f"bad CSV header {header!r}, expected {expected!r}")
+        universe = Universe(tuple(response_bounds), ((0.0, 1.0),) * d)
         xs, ys, ms = [], [], []
         for row in r:
             if not row:

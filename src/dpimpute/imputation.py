@@ -89,7 +89,9 @@ def impute(
         sd = float(np.sqrt(model.fit.sigma2_hat))
         fill += rng.normal(0.0, sd, size=d.n)
     lo, hi = d.universe.response_bounds
-    fill = np.where(d.mask, np.clip(fill, lo, hi, out=fill), d.response)
+    np.clip(fill, lo, hi, out=fill)
+    np.copyto(fill, d.response, where=~d.mask)
+    fill.setflags(write=False)  # so Dataset takes it without a copy
     return Dataset(
         d.covariates, fill, np.zeros(d.n, dtype=bool), d.universe
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,13 +29,19 @@ class RandomSource:
 
     Same seed and key give a bit-identical draw sequence across runs and
     platforms.  A source is single-owner; concurrent callers must hold
-    independent sources obtained via :meth:`split`.
+    independent sources obtained via :meth:`split`.  The generator is built
+    on first draw, so a source that is only split never pays for one.
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self.key = tuple(int(k) for k in key)
-        self._gen = np.random.Generator(
+        if self.seed < 0 or min(self.key, default=0) < 0:
+            raise ValueError(f"seed and key must be nonnegative, got {seed}, {key}")
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=self.key))
         )
 
@@ -101,15 +108,10 @@ class OlsFit:
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if self.intercept:
-            return self.beta[0] + x @ self.beta[1:]
+            out = x @ self.beta[1:]
+            out += self.beta[0]
+            return out
         return x @ self.beta
-
-    def to_json_dict(self) -> dict:
-        return {
-            "beta": [float(b) for b in self.beta],
-            "private": self.private,
-            "epsilon_spent": float(self.epsilon_spent),
-        }
 
 
 def _moments(x: np.ndarray, y: np.ndarray, intercept: bool):

@@ -108,6 +108,7 @@ def generate_population(cfg: SimConfig, rng: RandomSource) -> Dataset:
     if cfg.sigma2 > 0:
         y = y + rng.normal(0.0, np.sqrt(cfg.sigma2), size=cfg.n)
     y = np.clip(y, 0.0, 1.0)
+    y.setflags(write=False)  # shared by Dataset too
     return Dataset(x, y, np.zeros(cfg.n, dtype=bool), Universe.unit(cfg.d))
 
 
@@ -166,23 +167,15 @@ def _execute_run(cfg: SimConfig, run: int) -> list[RunRecord | RunFailure]:
     return out
 
 
-def worker_count(workers: int | None) -> int:
-    """Resolve a worker count: None reads DPIMPUTE_THREADS (unset = 1), 0 = one
-    per CPU.  Raises ValueError when the variable is not an integer."""
-    if workers is None:
-        env = os.environ.get("DPIMPUTE_THREADS", "")
-        workers = int(env) if env else 1
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return max(1, workers)
-
-
 def run_sweep(
-    cfg: SimConfig, workers: int | None = None
+    cfg: SimConfig, workers: int = 1
 ) -> tuple[list[RunRecord], list[RunFailure]]:
-    """Execute all runs; per-run results are identical for any worker count
-    because every run derives its streams from (seed, run index) alone."""
-    nworkers = worker_count(workers)
+    """Execute all runs on ``workers`` processes (0 = one per CPU); per-run
+    results are identical for any worker count because every run derives
+    its streams from (seed, run index) alone."""
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
+    nworkers = workers or os.cpu_count() or 1
     if nworkers == 1:
         chunks = [_execute_run(cfg, r) for r in range(cfg.runs)]
     else:
@@ -210,7 +203,7 @@ def summarize_runs(
     return SimSummary(per_strategy=per)
 
 
-def monte_carlo(cfg: SimConfig, workers: int | None = None) -> SimSummary:
+def monte_carlo(cfg: SimConfig, workers: int = 1) -> SimSummary:
     records, failures = run_sweep(cfg, workers)
     return summarize_runs(cfg, records, failures)
 

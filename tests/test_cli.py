@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from dpimpute import Dataset, Universe, write_dataset_csv
+from dpimpute import (
+    Dataset,
+    RandomSource,
+    Universe,
+    fit_imputation_model,
+    read_dataset_csv,
+    write_dataset_csv,
+)
 from dpimpute.cli import main
 
 
@@ -156,6 +163,23 @@ class TestImpute:
         fit = json.loads(model.read_text())
         assert set(fit) == {"beta", "private", "epsilon_spent"}
         assert fit["private"] is False
+
+    @pytest.mark.parametrize("flags", [[], ["--privacy-epsilon", "1", "--intercept"]])
+    def test_saved_model_text(self, tmp_path, flags):
+        data = write_data(tmp_path, [False] * 30 + [True] * 5)
+        model = tmp_path / "model.json"
+        assert main(["impute", "--data", str(data), "--out",
+                     str(tmp_path / "completed.csv"), "--seed", "2",
+                     "--save-model", str(model), *flags]) == 0
+        epsilon = float(flags[1]) if flags else None
+        fit = fit_imputation_model(
+            read_dataset_csv(data, (0.0, 1.0)), privacy_epsilon=epsilon,
+            rng=RandomSource(2).split(0), intercept=bool(flags),
+        ).fit
+        assert model.read_text() == json.dumps({
+            "beta": [float(b) for b in fit.beta], "private": fit.private,
+            "epsilon_spent": float(fit.epsilon_spent),
+        }) + "\n"
 
     def test_imputes_from_saved_model(self, tmp_path):
         data = write_data(tmp_path, [False] * 18 + [True, True])
@@ -375,7 +399,10 @@ class TestMalformedInput:
                      str(tmp_path / "out.csv"),
                      "--model", str(tmp_path / "nope.json")]) == 2
 
-    def test_bad_thread_variable(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DPIMPUTE_THREADS", "x")
-        assert main(["simulate", "--config", str(write_config(tmp_path))]) == 1
-        assert "DPIMPUTE_THREADS" in capsys.readouterr().err
+    def test_negative_workers_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--workers", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers must be >= 0" in captured.err
+        assert not (tmp_path / "out").exists()

@@ -48,6 +48,7 @@ class TestNMis:
     def test_direct_count(self):
         d = make_dataset([[0.1], [0.2], [0.3]], [0.3, 0.4, 0.5], [True, False, True])
         assert n_mis(d) == 2
+        assert type(n_mis(d)) is int  # json-serialisable, unlike np.int64
 
     def test_missingness_rate_at_scale(self):
         # Pr(M=1) = X1 with X1 uniform: expected rate 1/2, binomial-scale spread
@@ -65,6 +66,10 @@ class TestDataset:
         again = Dataset(d.covariates, d.response, d.mask, d.universe)
         assert again.covariates is d.covariates and again.mask is d.mask
         assert not again.response.flags.writeable
+        y = np.array([0.3, 0.4])
+        y.setflags(write=False)
+        full = Dataset(d.covariates, y, np.zeros(2, bool), d.universe)
+        assert full.response is y
 
     @pytest.mark.parametrize("read_only_view", [False, True])
     def test_caller_writes_do_not_reach_dataset(self, read_only_view):
@@ -252,7 +257,7 @@ class TestCsvRoundTrip:
         write_dataset_csv(d, path)
         text = path.read_text()
         assert text.splitlines()[0] == "x1,x2,y,missing"
-        back = read_dataset_csv(path, d.universe)
+        back = read_dataset_csv(path, d.universe.response_bounds)
         assert hamming_distance(d, back) == 0
         np.testing.assert_array_equal(back.mask, d.mask)
 
@@ -283,4 +288,15 @@ class TestCsvRoundTrip:
         path = tmp_path / "data.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(ValueError):
-            read_dataset_csv(path, Universe.unit(1))
+            read_dataset_csv(path, (0.0, 1.0))
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_header_gives_dimension(self, tmp_path, d):
+        u = Universe((-2.0, 5.0), ((0.0, 1.0),) * d)
+        x = np.linspace(0.0, 1.0, 2 * d).reshape(2, d)
+        data = make_dataset(x, [-1.5, 4.0], [False, True], u)
+        path = tmp_path / "data.csv"
+        write_dataset_csv(data, path)
+        back = read_dataset_csv(path, (-2.0, 5.0))
+        assert back.universe == u
+        assert hamming_distance(data, back) == 0

@@ -154,8 +154,9 @@ class TestImpute:
     @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("stochastic", [False, True])
     def test_peak_allocation(self, stochastic, intercept):
-        # the predictions are clipped in place and released before Dataset
-        # copies the completed response: about 2.4 response-sized arrays
+        # the predictions are clipped and filled in place and Dataset takes
+        # them without a copy: one response-sized array, two while the
+        # stochastic draws are added
         n = 200_000
         d = benchmark_dataset(seed=5, n=n)
         model = fit_imputation_model(
@@ -168,7 +169,7 @@ class TestImpute:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * 8 * n
+        assert peak <= (2.1 if stochastic else 1.5) * 8 * n
 
 
 class TestStochasticImpute:

@@ -34,6 +34,20 @@ class TestRandomSource:
     def test_split_is_reproducible(self):
         assert RandomSource(7).split(3, 1).uniform() == RandomSource(7, (3, 1)).uniform()
 
+    @pytest.mark.parametrize("seed, key", [(-1, ()), (0, (2, -1))])
+    def test_negative_seed_or_key_refused_at_construction(self, seed, key):
+        with pytest.raises(ValueError, match="nonnegative"):
+            RandomSource(seed, key)
+        with pytest.raises(ValueError, match="nonnegative"):
+            RandomSource(0).split(*key, seed)
+
+    def test_generator_built_on_first_draw(self):
+        base = RandomSource(42)
+        child = base.split(1)
+        assert "_gen" not in vars(base) and "_gen" not in vars(child)
+        assert child.uniform() == RandomSource(42, (1,)).uniform()
+        assert "_gen" in vars(child) and "_gen" not in vars(base)
+
 
 class TestLaplaceSample:
     def test_rejects_nonpositive_scale(self):

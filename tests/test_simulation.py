@@ -170,11 +170,9 @@ class TestSweep:
             assert s.count + s.failures == cfg.runs
             assert s.q1 <= s.median <= s.q3
 
-    def test_env_var_worker_cap(self, monkeypatch):
-        monkeypatch.setenv("DPIMPUTE_THREADS", "1")
-        cfg = self.small_cfg()
-        records, _ = run_sweep(cfg)
-        assert len(records) == cfg.runs * 3
+    def test_negative_workers_refused(self):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            run_sweep(self.small_cfg(), workers=-1)
 
 
 class TestFunctionalMechanismNeverFails:
