@@ -6,11 +6,9 @@ from .core_data import (
     IncomparableDatasetsError,
     PrivacyBudget,
     Universe,
-    Violation,
     hamming_distance,
     n_mis,
     read_dataset_csv,
-    validate,
     write_dataset_csv,
 )
 from .imputation import (

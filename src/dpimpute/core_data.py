@@ -18,32 +18,40 @@ class BudgetExceededError(RuntimeError):
     """Raised when a ledger append would overdraw the privacy budget."""
 
 
+# covariate domain of the dataset CSV format and of the functional mechanism
+COVARIATE_BOUNDS = (0.0, 1.0)
+
+
 @dataclass(frozen=True)
 class Universe:
-    """Closed per-column value bounds defining the data domain.
-
-    ``response_bounds`` is the [a, b] interval for the partially observed
-    response; ``covariate_bounds`` holds one interval per covariate column.
-    """
+    """The response interval [a, b], the data domain of every sensitivity bound."""
 
     response_bounds: tuple[float, float]
-    covariate_bounds: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
-        for lo, hi in (self.response_bounds, *self.covariate_bounds):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError(f"universe bounds must be finite, got [{lo}, {hi}]")
-            if not lo < hi:
-                raise ValueError(f"universe bounds must satisfy a < b, got [{lo}, {hi}]")
-
-    @property
-    def dim(self) -> int:
-        return len(self.covariate_bounds)
+        lo, hi = self.response_bounds
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"universe bounds must be finite, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise ValueError(f"universe bounds must satisfy a < b, got [{lo}, {hi}]")
 
     @classmethod
-    def unit(cls, d: int) -> "Universe":
-        """The [0,1] response / [0,1]^d covariate universe."""
-        return cls((0.0, 1.0), ((0.0, 1.0),) * d)
+    def unit(cls) -> "Universe":
+        """The [0, 1] response universe."""
+        return cls((0.0, 1.0))
+
+
+def _outside_universe(columns, lo: float, hi: float) -> ValueError:
+    """The refusal listing the entries of the (name, values) columns outside [lo, hi]."""
+    bad = [
+        f"row {i} {name}: value {float(values[i])!r} outside [{lo}, {hi}]"
+        for name, values in columns
+        for i in np.flatnonzero(~((values >= lo) & (values <= hi)))
+    ]
+    shown = bad[:10]
+    if len(bad) > len(shown):
+        shown.append(f"... and {len(bad) - len(shown)} more")
+    return ValueError(f"{len(bad)} value(s) outside the universe: " + "; ".join(shown))
 
 
 def is_finite_real(value) -> bool:
@@ -72,9 +80,10 @@ class Dataset:
 
     The mask is authoritative: entries with ``mask=True`` are missing and the
     stored response value there is an unread sentinel (NaN).  Every observed
-    response must be finite.  A read-only input of the right dtype that owns
-    its memory (another Dataset's) is shared; any other is copied and frozen.
-    A masked response is always copied once, to write the sentinel.
+    response must lie in the universe [a, b].  A read-only input of the right
+    dtype that owns its memory (another Dataset's) is shared; any other is
+    copied and frozen.  A masked response is always copied once, to write the
+    sentinel.
     """
 
     covariates: np.ndarray
@@ -88,20 +97,19 @@ class Dataset:
         y = self.response
         if x.ndim != 2:
             raise ValueError("covariates must be an n x d matrix")
-        n, d = x.shape
+        n = x.shape[0]
         if np.shape(y) != (n,) or m.shape != (n,):
             raise ValueError("response/mask length must match the number of records")
-        if d != self.universe.dim:
-            raise ValueError(
-                f"universe declares {self.universe.dim} covariates, data has {d}"
-            )
         if m.any():
             y = np.where(m, np.nan, y)  # sentinel; never read as data
             y.setflags(write=False)
         y = _frozen(y, np.float64)
-        # only observed entries can be finite, so they all are iff the counts match
-        if np.count_nonzero(np.isfinite(y)) != n - np.count_nonzero(m):
-            raise ValueError("observed responses must be finite")
+        # only the sentinels are non-finite iff the counts match; fmin/fmax skip NaN
+        lo, hi = self.universe.response_bounds
+        n_obs = n - np.count_nonzero(m)
+        finite = np.count_nonzero(np.isfinite(y)) == n_obs
+        if n_obs and not (finite and lo <= np.fmin.reduce(y) and np.fmax.reduce(y) <= hi):
+            raise _outside_universe([("y", np.where(m, lo, y))], lo, hi)
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "response", y)
         object.__setattr__(self, "mask", m)
@@ -140,33 +148,6 @@ def hamming_distance(d1: Dataset, d2: Dataset) -> int:
     both_obs = ~d1.mask & ~d2.mask
     diff |= both_obs & (d1.response != d2.response)
     return int(diff.sum())
-
-
-@dataclass(frozen=True)
-class Violation:
-    row: int
-    column: str
-    message: str
-
-
-def validate(d: Dataset) -> list[Violation]:
-    """Check every Dataset invariant; an empty list means ok.
-
-    Values must lie in their universe interval; NaN never does.
-    """
-    out: list[Violation] = []
-    for j, (lo, hi) in enumerate(d.universe.covariate_bounds):
-        col = d.covariates[:, j]
-        for i in np.nonzero(~((col >= lo) & (col <= hi)))[0]:
-            message = f"value {float(col[i])!r} outside [{lo}, {hi}]"
-            out.append(Violation(int(i), f"x{j + 1}", message))
-    lo, hi = d.universe.response_bounds
-    obs = ~d.mask
-    bad = obs & ~((d.response >= lo) & (d.response <= hi))
-    for i in np.nonzero(bad)[0]:
-        message = f"value {float(d.response[i])!r} outside [{lo}, {hi}]"
-        out.append(Violation(int(i), "y", message))
-    return out
 
 
 class PrivacyBudget:
@@ -232,8 +213,8 @@ def write_dataset_csv(d: Dataset, path) -> None:
 
 
 def read_dataset_csv(path, response_bounds: tuple[float, float]) -> Dataset:
-    """Read a dataset whose header fixes d; its universe is the response
-    bounds with [0, 1] for every covariate."""
+    """Read a dataset whose header fixes d; every covariate must lie in
+    COVARIATE_BOUNDS and every observed response in ``response_bounds``."""
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
         header = next(r, None)
@@ -241,7 +222,7 @@ def read_dataset_csv(path, response_bounds: tuple[float, float]) -> Dataset:
         expected = [f"x{j + 1}" for j in range(d)] + ["y", "missing"]
         if header != expected:
             raise ValueError(f"bad CSV header {header!r}, expected {expected!r}")
-        universe = Universe(tuple(response_bounds), ((0.0, 1.0),) * d)
+        universe = Universe(tuple(response_bounds))
         xs, ys, ms = [], [], []
         for row in r:
             if not row:
@@ -252,8 +233,17 @@ def read_dataset_csv(path, response_bounds: tuple[float, float]) -> Dataset:
                 )
             if row[d + 1] not in ("0", "1"):
                 raise ValueError(f"line {r.line_num}: missing must be 0 or 1")
-            xs.append([float(v) for v in row[:d]])
             missing = row[d + 1] == "1"
+            try:
+                xs.append([float(v) for v in row[:d]])
+                ys.append(np.nan if missing else float(row[d]))
+            except ValueError as exc:
+                raise ValueError(f"line {r.line_num}: {exc}") from None
             ms.append(missing)
-            ys.append(np.nan if missing else float(row[d]))
-    return Dataset(np.array(xs), np.array(ys), np.array(ms), universe)
+    if not ms:
+        raise ValueError("no records after the header")
+    x = np.array(xs)
+    lo, hi = COVARIATE_BOUNDS
+    if x.size and not (lo <= x.min() and x.max() <= hi):  # NaN fails too
+        raise _outside_universe(zip(expected, x.T), lo, hi)
+    return Dataset(x, np.array(ys), np.array(ms), universe)

@@ -7,6 +7,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .core_data import COVARIATE_BOUNDS
+
 # Sensitivity of the expanded squared-error objective under replace-one
 # neighbors, all attributes mapped into [-1,1]: per tuple the p degree-1
 # coefficients move by at most |2*y*x_j| <= 2 each and the p^2 degree-2
@@ -198,7 +200,8 @@ def functional_mechanism_ols(
     y = np.asarray(y, dtype=np.float64)
     gram, zty, _ = _moments(x, y, intercept)
     # Δ_FM needs data in range; NaN fails both checks
-    if x.size and not (0.0 <= x.min() and x.max() <= 1.0):
+    x_lo, x_hi = COVARIATE_BOUNDS
+    if x.size and not (x_lo <= x.min() and x.max() <= x_hi):
         raise ValueError("functional mechanism requires covariates in [0, 1]")
     if y.size and not (a_lo <= y.min() and y.max() <= a_hi):
         raise ValueError(f"functional mechanism requires y in [{a_lo}, {a_hi}]")

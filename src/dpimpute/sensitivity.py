@@ -259,7 +259,7 @@ def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitn
         raise ValueError(f"construction needs n >= 3, got {n}")
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
-    universe = Universe((a, b), ((0.0, 4.0),))
+    universe = Universe((a, b))
     x = np.full((n, 1), 4.0)
     x[:2, 0] = (0.0, 1.0)
     mask = np.ones(n, dtype=bool)

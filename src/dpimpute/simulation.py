@@ -109,7 +109,7 @@ def generate_population(cfg: SimConfig, rng: RandomSource) -> Dataset:
         y = y + rng.normal(0.0, np.sqrt(cfg.sigma2), size=cfg.n)
     y = np.clip(y, 0.0, 1.0)
     y.setflags(write=False)  # shared by Dataset too
-    return Dataset(x, y, np.zeros(cfg.n, dtype=bool), Universe.unit(cfg.d))
+    return Dataset(x, y, np.zeros(cfg.n, dtype=bool), Universe.unit())
 
 
 def inject_missingness(d: Dataset, rng: RandomSource) -> Dataset:

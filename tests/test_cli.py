@@ -38,7 +38,7 @@ def write_data(tmp_path, mask):
     rng = np.random.default_rng(0)
     x = rng.uniform(size=(n, 2))
     y = np.clip(x @ [0.5, 0.5] + rng.normal(0, 0.1, n), 0, 1)
-    d = Dataset(x, y, np.asarray(mask, dtype=bool), Universe.unit(2))
+    d = Dataset(x, y, np.asarray(mask, dtype=bool), Universe.unit())
     path = tmp_path / "data.csv"
     write_dataset_csv(d, path)
     return path
@@ -133,6 +133,14 @@ class TestBounds:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    def test_more_missing_than_records_refused(self, capsys):
+        # no dataset of 10 records has 20 missing responses
+        assert main(["bounds", "--epsilon", "1", "--n-mis", "20", "--lo", "0",
+                     "--hi", "1", "--n", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--n-mis 20 exceeds --n 10" in captured.err
+
     def test_invalid_numerics(self):
         assert main(
             ["bounds", "--epsilon", "1", "--n-mis", "0", "--lo", "1",
@@ -211,7 +219,7 @@ class TestCovariateCount:
         y = np.clip(x.mean(axis=1) + rng.normal(0, 0.1, 40), 0, 1)
         mask = np.arange(40) >= 30
         path = tmp_path / "data.csv"
-        write_dataset_csv(Dataset(x, y, mask, Universe.unit(d)), path)
+        write_dataset_csv(Dataset(x, y, mask, Universe.unit()), path)
         out = tmp_path / "completed.csv"
         assert main(["impute", "--data", str(path), "--out", str(out),
                      "--intercept"]) == 0
@@ -294,12 +302,25 @@ class TestMalformedInput:
         assert "row 10 y" not in err and "and 2 more" in err
 
     @pytest.mark.parametrize("rows", [["0.3,0.4"], ["0.3,0.4,0.5,0,extra"],
-                                      ["0.3,0.4,0.5,yes"]])
+                                      ["0.3,0.4,0.5,yes"], ["0.1,abc,0.5,0"]])
     def test_malformed_row(self, tmp_path, capsys, rows):
         data = self.write_csv(tmp_path, ["0.1,0.2,0.3,0", *rows])
         assert main(["query", "--data", str(data), "--strategy", "impute",
                      "--epsilon", "1"]) == 1
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", [
+        ["query", "--strategy", "impute", "--epsilon", "1"],
+        ["impute", "--out", "out.csv"],
+    ])
+    def test_header_only_csv(self, tmp_path, capsys, cmd):
+        data = self.write_csv(tmp_path, [])
+        cmd = [str(tmp_path / a) if a.endswith(".csv") else a for a in cmd]
+        assert main([*cmd, "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad dataset: no records after the header" in captured.err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_empty_csv(self, tmp_path):
         data = tmp_path / "empty.csv"

@@ -15,29 +15,26 @@ from dpimpute import (
     hamming_distance,
     n_mis,
     read_dataset_csv,
-    validate,
     write_dataset_csv,
 )
+from dpimpute.core_data import COVARIATE_BOUNDS
 
 
 def make_dataset(x, y, mask, universe=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if universe is None:
-        universe = Universe.unit(x.shape[1])
+        universe = Universe.unit()
     return Dataset(x, np.asarray(y, dtype=float), np.asarray(mask, dtype=bool), universe)
 
 
 class TestUniverse:
     def test_rejects_degenerate_interval(self):
         with pytest.raises(ValueError):
-            Universe((1.0, 1.0), ())
+            Universe((1.0, 1.0))
 
     def test_rejects_infinite_bounds(self):
         with pytest.raises(ValueError):
-            Universe((0.0, math.inf), ())
-
-    def test_dim(self):
-        assert Universe.unit(3).dim == 3
+            Universe((0.0, math.inf))
 
 
 class TestNMis:
@@ -79,13 +76,13 @@ class TestDataset:
             args = [a.view() for a in args]
             for a in args:
                 a.setflags(write=False)
-        d = Dataset(*args, Universe.unit(1))
+        d = Dataset(*args, Universe.unit())
         x[0, 0], y[0], m[0] = 0.9, 0.9, True
         assert (d.covariates[0, 0], d.response[0], d.mask[0]) == (0.1, 0.3, False)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_observed_response_refused(self, bad):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="outside the universe"):
             make_dataset([[0.1], [0.2]], [0.3, bad], [True, False])
         assert np.isnan(make_dataset([[0.1]], [bad], [True]).response[0])
 
@@ -164,30 +161,41 @@ class TestHammingMetric:
 
 
 class TestValidate:
+    """Data outside the universe is refused where it enters: by `Dataset`
+    for an observed response, by `read_dataset_csv` for a covariate."""
+
     def test_in_bounds_ok(self):
-        d = make_dataset([[0.1], [0.9]], [0.2, 0.8], [False, False])
-        assert validate(d) == []
+        d = make_dataset([[0.1], [0.9], [0.5]], [0.0, 1.0, 0.8], [False] * 3)
+        assert d.response.tolist() == [0.0, 1.0, 0.8]
 
     def test_out_of_bounds_response(self):
-        d = make_dataset([[0.1], [0.9]], [1.5, 0.8], [False, False])
-        v = validate(d)
-        assert len(v) == 1 and v[0].row == 0 and v[0].column == "y"
+        with pytest.raises(ValueError, match=(
+            r"^1 value\(s\) outside the universe: "
+            r"row 0 y: value 1\.5 outside \[0\.0, 1\.0\]$"
+        )):
+            make_dataset([[0.1], [0.9]], [1.5, 0.8], [False, False])
 
-    def test_out_of_bounds_covariate(self):
-        d = make_dataset([[0.1], [1.9]], [0.5, 0.8], [False, False])
-        v = validate(d)
-        assert len(v) == 1 and v[0].row == 1 and v[0].column == "x1"
+    def test_out_of_bounds_covariate(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x1,y,missing\n0.1,0.5,0\n1.9,0.8,0\n")
+        with pytest.raises(ValueError, match=(
+            r"^1 value\(s\) outside the universe: row 1 x1: value 1\.9 outside"
+        )):
+            read_dataset_csv(path, (0.0, 1.0))
 
-    def test_nan_covariate_flagged(self):
-        # NaN fails both bound comparisons, so it must be caught explicitly
-        d = make_dataset([[0.1], [np.nan]], [0.5, 0.8], [False, True])
-        v = validate(d)
-        assert len(v) == 1 and v[0].row == 1 and v[0].column == "x1"
+    def test_nan_covariate_flagged(self, tmp_path):
+        # NaN fails both bound comparisons, so the reader's min/max must
+        # catch it; a Dataset itself does not check covariates
+        path = tmp_path / "data.csv"
+        path.write_text("x1,y,missing\n0.1,0.5,0\nnan,,1\n")
+        with pytest.raises(ValueError, match=r"row 1 x1: value nan outside"):
+            read_dataset_csv(path, (0.0, 1.0))
 
     def test_masked_sentinel_is_ignored(self):
-        # whatever value is stored under the mask, validation never reads it
-        d = make_dataset([[0.1]], [0.7], [True])
-        assert validate(d) == []
+        # whatever value is stored under the mask, the check never reads it
+        for sentinel in (0.7, 50.0, -np.inf, np.nan):
+            d = make_dataset([[0.1], [0.2]], [sentinel, 0.5], [True, False])
+            assert np.isnan(d.response[0])
 
     def test_generator_output_always_valid(self):
         from dpimpute import SimConfig, generate_population, inject_missingness
@@ -195,7 +203,34 @@ class TestValidate:
         rng = RandomSource(3)
         cfg = SimConfig(n=500, runs=1)
         d = inject_missingness(generate_population(cfg, rng.split(0)), rng.split(1))
-        assert validate(d) == []
+        again = Dataset(d.covariates, d.response, d.mask, Universe.unit())
+        assert hamming_distance(d, again) == 0
+        lo, hi = COVARIATE_BOUNDS
+        assert lo <= d.covariates.min() and d.covariates.max() <= hi
+
+    def test_all_masked_and_empty_are_valid(self):
+        assert n_mis(make_dataset([[0.1], [0.2]], [9.0, -9.0], [True, True])) == 2
+        empty = Dataset(np.empty((0, 2)), [], np.empty(0, bool), Universe.unit())
+        assert empty.n == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats() | st.floats(-2.0, 3.0)
+        | st.sampled_from([-1.0, 2.0, np.nextafter(-1.0, -2.0), np.nextafter(2.0, 3.0)]),
+        st.booleans(),
+    ), max_size=6))
+    def test_constructs_iff_observed_responses_in_universe(self, records):
+        # anything may sit under the mask: NaN, ±inf or a value outside [a, b]
+        y = [v for v, _ in records]
+        mask = [m for _, m in records]
+        observed = [v for v, m in records if not m]
+        x = np.zeros((len(records), 1))
+        u = Universe((-1.0, 2.0))
+        if all(-1.0 <= v <= 2.0 for v in observed):
+            assert Dataset(x, y, mask, u).observed_response.tolist() == observed
+        else:
+            with pytest.raises(ValueError, match="outside the universe"):
+                Dataset(x, y, mask, u)
 
 
 class TestPrivacyBudget:
@@ -251,7 +286,7 @@ class TestCsvRoundTrip:
             [[0.125, 0.5], [0.75, 0.25], [0.1, 0.9]],
             [0.3, 0.7, 0.2],
             [False, True, False],
-            Universe.unit(2),
+            Universe.unit(),
         )
         path = tmp_path / "data.csv"
         write_dataset_csv(d, path)
@@ -262,13 +297,13 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.mask, d.mask)
 
     def test_masked_rows_have_empty_response(self, tmp_path):
-        d = make_dataset([[0.5]], [0.3], [True], Universe.unit(1))
+        d = make_dataset([[0.5]], [0.3], [True], Universe.unit())
         path = tmp_path / "data.csv"
         write_dataset_csv(d, path)
         assert path.read_text().splitlines()[1] == "0.5,,1"
 
     def test_text_is_repr_of_each_value(self, tmp_path):
-        u = Universe((-1.0, 2e16), ((-1.0, 2e16),) * 2)
+        u = Universe((-1.0, 2e16))
         d = Dataset(
             np.array([[-0.0, 5e-324], [1e16, 1 / 3], [0.25, 1.0]]),
             np.array([5e-324, 0.5, -0.0]),
@@ -292,7 +327,7 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_header_gives_dimension(self, tmp_path, d):
-        u = Universe((-2.0, 5.0), ((0.0, 1.0),) * d)
+        u = Universe((-2.0, 5.0))
         x = np.linspace(0.0, 1.0, 2 * d).reshape(2, d)
         data = make_dataset(x, [-1.5, 4.0], [False, True], u)
         path = tmp_path / "data.csv"

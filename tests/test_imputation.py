@@ -23,7 +23,7 @@ from dpimpute import (
 def make_dataset(x, y, mask, universe=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if universe is None:
-        universe = Universe.unit(x.shape[1])
+        universe = Universe.unit()
     return Dataset(x, np.asarray(y, dtype=float), np.asarray(mask, dtype=bool), universe)
 
 
@@ -43,7 +43,7 @@ def benchmark_dataset(seed=0, n=2000, missing=True):
     x = rng.uniform(size=(n, 2))
     y = np.clip(x @ [0.5, 0.5] + rng.normal(0, np.sqrt(0.1), n), 0, 1)
     mask = rng.uniform(size=n) < x[:, 0] if missing else np.zeros(n, dtype=bool)
-    return Dataset(x, y, mask, Universe.unit(2))
+    return Dataset(x, y, mask, Universe.unit())
 
 
 class TestFitImputationModel:
@@ -85,7 +85,7 @@ class TestImpute:
         assert impute(d, model) is d
 
     def test_direct_prediction(self):
-        u = Universe.unit(2)
+        u = Universe.unit()
         d = make_dataset([[1.0, 1.0], [0.2, 0.2], [0.4, 0.0]],
                          [0.0, 0.2, 0.2], [True, False, False], u)
         out = impute(d, model_with_beta([0.5, 0.5]))
@@ -93,7 +93,7 @@ class TestImpute:
         assert not out.mask.any()
 
     def test_clipping_enforces_universe(self):
-        u = Universe.unit(2)
+        u = Universe.unit()
         d = make_dataset([[1.0, 1.0], [0.2, 0.2], [0.4, 0.0]],
                          [0.0, 0.2, 0.2], [True, False, False], u)
         out = impute(d, model_with_beta([10.0, 10.0]))
@@ -114,7 +114,7 @@ class TestImpute:
         assert impute(once, model) is once
 
     def test_locality(self):
-        u = Universe.unit(1)
+        u = Universe.unit()
         d1 = make_dataset([[0.5], [0.3]], [0.0, 0.4], [True, False], u)
         d2 = make_dataset([[0.5], [0.9]], [0.0, 0.4], [True, False], u)
         model = model_with_beta([0.8])
@@ -174,7 +174,7 @@ class TestImpute:
 
 class TestStochasticImpute:
     def test_requires_rng(self):
-        u = Universe.unit(1)
+        u = Universe.unit()
         d = make_dataset([[0.5], [0.3], [0.6]], [0.0, 0.3, 0.5],
                          [True, False, False], u)
         model = model_with_beta([0.5], stochastic=True, sigma2=0.01)
@@ -202,7 +202,7 @@ class TestStochasticImpute:
     def test_per_record_streams_are_order_independent(self):
         # same record index gets the same draw regardless of which other
         # records are missing
-        u = Universe.unit(1)
+        u = Universe.unit()
         base = model_with_beta([0.5], stochastic=True, sigma2=0.01)
         d1 = make_dataset([[0.4], [0.6], [0.2]], [0.0, 0.3, 0.1],
                           [True, False, False], u)
@@ -228,12 +228,12 @@ class TestImputerContract:
         y = rng.uniform(size=n)
         mask = rng.uniform(size=n) < 0.4
         mask[0] = False  # keep at least one observed value on both sides
-        d = Dataset(x, y, mask, Universe.unit(1))
+        d = Dataset(x, y, mask, Universe.unit())
         y2 = np.array(y)
         y2[1 % n] = rng.uniform()
         mask2 = np.array(mask)
         mask2[1 % n] = False
-        d2 = Dataset(x, y2, mask2, Universe.unit(1))
+        d2 = Dataset(x, y2, mask2, Universe.unit())
         from dpimpute import hamming_distance
 
         if hamming_distance(d, d2) != 1:
@@ -247,7 +247,7 @@ class TestImputerContract:
             completed[np.nonzero(~d.mask)[0][0]] += 0.01  # perturbs an observed value
             return Dataset(d.covariates, completed, np.zeros(d.n, dtype=bool), d.universe)
 
-        u = Universe.unit(1)
+        u = Universe.unit()
         d = make_dataset([[0.1], [0.2], [0.3]], [0.4, 0.5, 0.0],
                          [False, False, True], u)
         d2 = make_dataset([[0.1], [0.2], [0.3]], [0.4, 0.9, 0.0],
@@ -255,14 +255,26 @@ class TestImputerContract:
         violations = check_imputer_contract(broken, d, d2)
         assert any("observed values" in v for v in violations)
 
+    def test_universe_change_flagged(self):
+        # a completion can only hold values outside [a, b] in another universe
+        def widening(d):
+            completed = np.where(d.mask, 5.0, d.response)
+            wide = Universe((-10.0, 10.0))
+            return Dataset(d.covariates, completed, np.zeros(d.n, dtype=bool), wide)
+
+        d = make_dataset([[0.1], [0.2], [0.3]], [0.4, 0.5, 0.0], [False, False, True])
+        d2 = make_dataset([[0.1], [0.2], [0.3]], [0.4, 0.9, 0.0], [False, False, True])
+        violations = check_imputer_contract(widening, d, d2)
+        assert "D: imputed dataset leaves the universe" in violations
+
     def test_complete_pair_distance_at_most_one(self):
-        u = Universe.unit(1)
+        u = Universe.unit()
         d = make_dataset([[0.1], [0.2]], [0.4, 0.5], [False, False], u)
         d2 = make_dataset([[0.1], [0.2]], [0.4, 0.9], [False, False], u)
         assert check_imputer_contract(refit_mean_imputer, d, d2) == []
 
     def test_non_neighbors_rejected(self):
-        u = Universe.unit(1)
+        u = Universe.unit()
         d = make_dataset([[0.1], [0.2]], [0.4, 0.5], [False, False], u)
         with pytest.raises(ValueError):
             check_imputer_contract(refit_mean_imputer, d, d)

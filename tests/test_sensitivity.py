@@ -23,18 +23,18 @@ from dpimpute import (
 
 class TestMeanGlobalSensitivity:
     def test_benchmark_scale(self):
-        assert mean_global_sensitivity(Universe.unit(1), 10_000) == 1e-4
+        assert mean_global_sensitivity(Universe.unit(), 10_000) == 1e-4
 
     def test_single_record(self):
-        assert mean_global_sensitivity(Universe.unit(1), 1) == 1.0
+        assert mean_global_sensitivity(Universe.unit(), 1) == 1.0
 
     def test_general_bounds(self):
-        u = Universe((2.0, 5.0), ())
+        u = Universe((2.0, 5.0))
         assert mean_global_sensitivity(u, 3) == 1.0
 
     def test_rejects_zero_n(self):
         with pytest.raises(ValueError):
-            mean_global_sensitivity(Universe.unit(1), 0)
+            mean_global_sensitivity(Universe.unit(), 0)
 
 
 class TestInflatedSensitivity:
@@ -46,7 +46,7 @@ class TestInflatedSensitivity:
 
     def test_full_range_at_n_minus_one_missing(self):
         n = 20
-        delta = mean_global_sensitivity(Universe.unit(1), n)
+        delta = mean_global_sensitivity(Universe.unit(), n)
         r = inflated_sensitivity(delta, n - 1)
         assert r.inflated_sensitivity == pytest.approx(1.0)
 
@@ -90,7 +90,7 @@ class TestTightnessGap:
         assert tightness_gap(0.0, 1.0, 2) == 0.5
 
     def test_identity_with_inflation(self):
-        delta = mean_global_sensitivity(Universe.unit(1), 10)
+        delta = mean_global_sensitivity(Universe.unit(), 10)
         assert tightness_gap(0.0, 1.0, 10) == pytest.approx(
             inflated_sensitivity(delta, 8).inflated_sensitivity
         )

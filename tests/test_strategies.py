@@ -28,7 +28,7 @@ from dpimpute import strategies
 def make_dataset(x, y, mask, universe=None):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if universe is None:
-        universe = Universe.unit(x.shape[1])
+        universe = Universe.unit()
     return Dataset(x, np.asarray(y, dtype=float), np.asarray(mask, dtype=bool), universe)
 
 
@@ -42,7 +42,7 @@ def benchmark_arrays(seed=0, n=2000):
 
 
 def benchmark_dataset(seed=0, n=2000):
-    return Dataset(*benchmark_arrays(seed, n), Universe.unit(2))
+    return Dataset(*benchmark_arrays(seed, n), Universe.unit())
 
 
 class TestAvailableCase:
@@ -87,7 +87,7 @@ class TestImputeThenQuery:
         y = rng.uniform(size=10)
         mask = np.ones(10, dtype=bool)
         mask[:3] = False
-        d = Dataset(x, y, mask, Universe.unit(1))
+        d = Dataset(x, y, mask, Universe.unit())
         res = run_impute_then_query(d, PrivacyBudget(1.0), RandomSource(9))
         assert res.sensitivity_used == pytest.approx(0.8)
         assert res.noise_scale == pytest.approx(0.8)
@@ -104,7 +104,7 @@ class TestImputeThenQuery:
 
     def test_sensitivity_affine_in_n_mis(self):
         x, y, _ = benchmark_arrays(seed=12)
-        delta = mean_global_sensitivity(Universe.unit(2), len(y))
+        delta = mean_global_sensitivity(Universe.unit(), len(y))
         sens = []
         for k in (0, 5, 50):
             mask = np.zeros(len(y), dtype=bool)
@@ -133,7 +133,7 @@ class TestDpImputeThenQuery:
 
     def test_sensitivity_independent_of_n_mis(self):
         x, y, _ = benchmark_arrays(seed=22)
-        delta = mean_global_sensitivity(Universe.unit(2), len(y))
+        delta = mean_global_sensitivity(Universe.unit(), len(y))
         for k in (0, 5, 50):
             mask = np.zeros(len(y), dtype=bool)
             mask[:k] = True
@@ -255,3 +255,18 @@ class TestRunStrategy:
         res = run_strategy(name, d, budget, RandomSource(33))
         assert budget.ledger == res.ledger == (("analysis", 0.8),)
         assert res.noise_scale == res.sensitivity_used / 0.8
+
+    @pytest.mark.parametrize("name", strategies.ALL_STRATEGIES)
+    def test_response_outside_universe_is_unreachable(self, name):
+        # a library caller cannot release a mean of y = 50 with the noise of
+        # the [0, 1] universe: building the Dataset raises first
+        budget = PrivacyBudget(1.0)
+        with pytest.raises(ValueError, match=r"row 1 y: value 50\.0 outside"):
+            run_strategy(
+                name,
+                make_dataset([[0.1], [0.2], [0.3]], [0.5, 50.0, 0.4],
+                             [False, False, True]),
+                budget,
+                RandomSource(0),
+            )
+        assert budget.ledger == ()
