@@ -136,7 +136,7 @@ def cmd_bounds(args) -> int:
 
 
 def _load_model(path: str, data: Dataset) -> ImputationModel:
-    """Read a model JSON {"beta": [d or d+1 finite numbers], "private": bool,
+    """Read a model JSON {"beta": [β₀, β₁..β_d], "private": bool,
     "epsilon_spent": finite number >= 0}; any other value is a ValueError."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     beta, private, spent = raw["beta"], raw["private"], raw["epsilon_spent"]
@@ -146,12 +146,11 @@ def _load_model(path: str, data: Dataset) -> ImputationModel:
         raise ValueError("private must be true or false")
     if not (is_finite_real(spent) and spent >= 0):
         raise ValueError("epsilon_spent must be a finite number >= 0")
-    if len(beta) not in (data.d, data.d + 1):
-        raise ValueError(f"beta must have {data.d} or {data.d + 1} entries")
+    if len(beta) != data.d + 1:
+        raise ValueError(f"beta must have {data.d + 1} entries, β₀ first")
     fit = OlsFit(
         beta=np.asarray(beta, dtype=np.float64),
         sigma2_hat=0.0,
-        intercept=len(beta) == data.d + 1,
         private=private,
         epsilon_spent=float(spent),
     )
@@ -160,10 +159,13 @@ def _load_model(path: str, data: Dataset) -> ImputationModel:
 
 def cmd_impute(args) -> int:
     # a saved model fixes the fit, so these flags would have no effect
-    fit_flags = args.privacy_epsilon is not None or args.intercept or args.stochastic
+    fit_flags = args.privacy_epsilon is not None or args.stochastic
     if args.model and fit_flags:
         return _fail(EXIT_BAD_CONFIG, "--model cannot be combined with "
-                     "--privacy-epsilon, --intercept or --stochastic")
+                     "--privacy-epsilon or --stochastic")
+    if args.privacy_epsilon is not None and args.stochastic:
+        return _fail(EXIT_BAD_CONFIG, "--stochastic needs a non-private fit, "
+                     "so it cannot be combined with --privacy-epsilon")
     if args.privacy_epsilon is not None and not 0 < args.privacy_epsilon < math.inf:
         return _fail(EXIT_BAD_CONFIG, "--privacy-epsilon must be finite and "
                      f"positive, got {args.privacy_epsilon}")
@@ -188,7 +190,6 @@ def cmd_impute(args) -> int:
                 privacy_epsilon=args.privacy_epsilon,
                 rng=rng.split(0),
                 stochastic=args.stochastic,
-                intercept=args.intercept,
             )
         completed = impute(data, model, rng.split(1))
     except (ValueError, RuntimeError) as exc:
@@ -207,13 +208,16 @@ def cmd_impute(args) -> int:
 
 def cmd_query(args) -> int:
     try:
+        budget = PrivacyBudget(args.epsilon, imputation_share=args.split)
+    except ValueError as exc:
+        return _fail(EXIT_BAD_CONFIG, f"bad budget: {exc}")
+    try:
         data = read_dataset_csv(args.data, (args.lo, args.hi))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read dataset: {exc}")
     except ValueError as exc:
         return _fail(EXIT_BAD_CONFIG, f"bad dataset: {exc}")
     try:
-        budget = PrivacyBudget(args.epsilon, imputation_share=args.split)
         result = strategies.run_strategy(
             _STRATEGY_FLAG[args.strategy], data, budget, RandomSource(args.seed)
         )
@@ -274,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="fit privately via the functional mechanism at this budget",
     )
-    p.add_argument("--intercept", action="store_true")
+    p.add_argument("--intercept", action="store_true", help="no effect, always on")
     p.add_argument("--stochastic", action="store_true")
     p.add_argument("--save-model", help="write the fitted model JSON here")
     p.set_defaults(func=cmd_impute)

@@ -37,9 +37,8 @@ def fit_imputation_model(
     privacy_epsilon: float | None,
     rng: RandomSource | None = None,
     stochastic: bool = False,
-    intercept: bool = False,
 ) -> ImputationModel:
-    """Fit the regression model on complete cases only.
+    """Fit the regression model y ≈ β₀ + xβ on complete cases only.
 
     ``privacy_epsilon=None`` gives a plain OLS fit; a positive value fits via
     the functional mechanism at that budget.  The caller is responsible for
@@ -50,7 +49,7 @@ def fit_imputation_model(
     y = d.observed_response
     x = np.compress(~d.mask, d.covariates, axis=0)
     if privacy_epsilon is None:
-        fit = ols_fit(x, y, intercept=intercept)
+        fit = ols_fit(x, y)
     else:
         if rng is None:
             raise ValueError("a RandomSource is required for a private fit")
@@ -59,7 +58,6 @@ def fit_imputation_model(
             y,
             privacy_epsilon,
             rng,
-            intercept=intercept,
             response_bounds=d.universe.response_bounds,
         )
     return ImputationModel(fit=fit, stochastic=stochastic)
@@ -75,10 +73,9 @@ def impute(
     n normals drawn from ``rng``, so its fill does not depend on which other
     records are missing or on processing order.
     """
-    expected = d.d + (1 if model.fit.intercept else 0)
-    if len(model.fit.beta) != expected:
+    if len(model.fit.beta) != d.d + 1:  # β₀ first
         raise ValueError(
-            f"model has {len(model.fit.beta)} coefficients, dataset needs {expected}"
+            f"model has {len(model.fit.beta)} coefficients, dataset needs {d.d + 1}"
         )
     if not d.mask.any():
         return d

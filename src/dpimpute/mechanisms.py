@@ -97,43 +97,38 @@ def laplace_mechanism(
 class OlsFit:
     """Fitted coefficients with privacy provenance.
 
-    ``beta`` has length d, or d+1 with the intercept first when the fit was
-    configured with one.  ``sigma2_hat`` is unusable (0) for private fits.
+    ``beta`` = (β₀, β₁, …, β_d) has length d+1, the constant term first.
+    ``sigma2_hat`` is unusable (0) for private fits.
     """
 
     beta: np.ndarray
     sigma2_hat: float
-    intercept: bool
     private: bool
     epsilon_spent: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if self.intercept:
-            out = x @ self.beta[1:]
-            out += self.beta[0]
-            return out
-        return x @ self.beta
+        out = x @ self.beta[1:]
+        out += self.beta[0]
+        return out
 
 
-def _moments(x: np.ndarray, y: np.ndarray, intercept: bool):
-    """Least-squares moments (Z'Z, Z'y, y'y) of the design Z, which is x with
-    a leading column of ones when there is an intercept; Z is never formed."""
+def _moments(x: np.ndarray, y: np.ndarray):
+    """Least-squares moments (Z'Z, Z'y, y'y) of the design Z = [1, x], the
+    n x d matrix x with a leading column of ones; Z is never formed."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("x must be an n x d matrix")
-    gram, zty = x.T @ x, x.T @ y
-    if intercept:  # border with Z'1 = (n, Σx) and 1'y = Σy
-        sx = np.array([c.sum() for c in x.T])
-        gram = np.block([[float(x.shape[0]), sx], [sx[:, None], gram]])
-        zty = np.concatenate(([y.sum()], zty))
+    sx = np.array([c.sum() for c in x.T])  # border with Z'1 = (n, Σx), 1'y = Σy
+    gram = np.block([[float(x.shape[0]), sx], [sx[:, None], x.T @ x]])
+    zty = np.concatenate(([y.sum()], x.T @ y))
     return gram, zty, float(y @ y)
 
 
-def ols_fit(x: np.ndarray, y: np.ndarray, intercept: bool = False) -> OlsFit:
+def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     """Least squares via the normal equations (LAPACK partial-pivot LU solve)."""
-    gram, zty, yty = _moments(x, y, intercept)
+    gram, zty, yty = _moments(x, y)
     n, p = len(x), gram.shape[0]
     s = np.linalg.svd(gram, compute_uv=False)
     if s[-1] <= _GRAM_RTOL * s[0]:
@@ -144,7 +139,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray, intercept: bool = False) -> OlsFit:
     rss = max(yty - float(beta @ zty), 0.0)  # |y - Zβ|² once Z'Zβ = Z'y
     sigma2 = rss / (n - p) if n > p else 0.0
     return OlsFit(
-        beta=beta, sigma2_hat=sigma2, intercept=intercept, private=False,
+        beta=beta, sigma2_hat=sigma2, private=False,
         epsilon_spent=0.0,
     )
 
@@ -179,17 +174,14 @@ def functional_mechanism_ols(
     y: np.ndarray,
     epsilon: float,
     rng: RandomSource,
-    intercept: bool = False,
     response_bounds: tuple[float, float] = (0.0, 1.0),
 ) -> OlsFit:
     """ε-DP OLS via coefficient perturbation of the squared-error objective.
 
     The moments are mapped into [-1,1] coordinates by one affine map,
-    z' = z t and y' = c y + o, before expansion (see
-    docs/functional_mechanism.md for the sensitivity derivation).  Without
-    an intercept t = I and o = 0, so that in the ε→∞ limit the fit coincides
-    exactly with :func:`ols_fit`; with an intercept the covariates are
-    centred (x ↦ 2x - 1), which also conditions the Gram matrix.
+    z' = z t = (1, 2x - 1) and y' = c y + o, before expansion; centring x
+    also conditions the Gram matrix.  docs/functional_mechanism.md derives
+    the sensitivity.  As ε→∞ the fit recovers :func:`ols_fit` up to rounding.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
@@ -198,7 +190,7 @@ def functional_mechanism_ols(
         raise ValueError(f"bad response bounds [{a_lo}, {a_hi}]")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    gram, zty, _ = _moments(x, y, intercept)
+    gram, zty, _ = _moments(x, y)
     # Δ_FM needs data in range; NaN fails both checks
     x_lo, x_hi = COVARIATE_BOUNDS
     if x.size and not (x_lo <= x.min() and x.max() <= x_hi):
@@ -207,20 +199,17 @@ def functional_mechanism_ols(
         raise ValueError(f"functional mechanism requires y in [{a_lo}, {a_hi}]")
     p = gram.shape[0]
     t = np.eye(p)
-    if intercept:
-        t[0, 1:] = -1.0  # z' = (1, 2x - 1)
-        t[1:, 1:] *= 2.0
-        c, o = 2.0 / (a_hi - a_lo), -(a_lo + a_hi) / (a_hi - a_lo)
-    else:
-        c, o = 1.0 / max(abs(a_lo), abs(a_hi)), 0.0
-    # Z'1 is the first column of Z'Z when z_0 = 1; o = 0 otherwise
+    t[0, 1:] = -1.0  # z' = (1, 2x - 1)
+    t[1:, 1:] *= 2.0
+    c, o = 2.0 / (a_hi - a_lo), -(a_lo + a_hi) / (a_hi - a_lo)
+    # Z'1 is the first column of Z'Z since z_0 = 1
     gamma, _, _ = _perturbed_quadratic_min(
         t.T @ gram @ t, t.T @ (c * zty + o * gram[:, 0]), epsilon, rng
     )
-    # y' = z t gamma and y = (y' - o) / c, with z e0 = 1 for the intercept
+    # y' = z t gamma and y = (y' - o) / c, with z e0 = 1
     beta = t @ gamma
     beta[0] -= o
     return OlsFit(
-        beta=beta / c, sigma2_hat=0.0, intercept=intercept, private=True,
+        beta=beta / c, sigma2_hat=0.0, private=True,
         epsilon_spent=float(epsilon),
     )

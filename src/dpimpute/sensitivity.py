@@ -249,8 +249,8 @@ def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitn
     """Neighbor pair on which one flipped response drives all imputed values
     across the full range, achieving gap = (n-1)(b-a)/n exactly.
 
-    Each side is imputed as impute-then-query does it: an OLS fit with an
-    intercept on the complete cases, then clipped prediction.  The two
+    Each side is imputed as impute-then-query does it: an OLS fit of
+    y = β₀ + β₁x on the complete cases, then clipped prediction.  The two
     complete cases sit at covariates 0 and 1 with responses (a, a) versus
     (a, b); the n-2 missing records sit at covariate 4, where the second
     fitted line extrapolates past b and is clipped.
@@ -270,7 +270,7 @@ def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitn
     d1 = Dataset(x, y1, mask, universe)
     d2 = Dataset(x, y2, mask, universe)
     means = [
-        float(impute(d, fit_imputation_model(d, None, intercept=True)).response.mean())
+        float(impute(d, fit_imputation_model(d, None)).response.mean())
         for d in (d1, d2)
     ]
     gap = abs(means[0] - means[1])

@@ -89,7 +89,7 @@ def run_impute_then_query(
     As with the available-case pipeline, the realized n_mis enters the noise
     scale; a strictly worst-case release would use the uniform bound n*Delta.
     """
-    model = fit_imputation_model(d, privacy_epsilon=None, intercept=True)
+    model = fit_imputation_model(d, privacy_epsilon=None)
     value = float(impute(d, model).response.mean())
     delta = mean_global_sensitivity(d.universe, d.n)
     sens = inflated_sensitivity(delta, n_mis(d)).inflated_sensitivity
@@ -108,7 +108,7 @@ def run_dp_impute_then_query(
     eps1 = budget.epsilon_imputation
     budget.spend("imputation", eps1)
     model = fit_imputation_model(
-        d, privacy_epsilon=eps1, rng=rng.split(_FIT_STREAM), intercept=True
+        d, privacy_epsilon=eps1, rng=rng.split(_FIT_STREAM)
     )
     value = float(impute(d, model).response.mean())
     sens = mean_global_sensitivity(d.universe, d.n)

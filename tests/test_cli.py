@@ -182,7 +182,7 @@ class TestImpute:
         epsilon = float(flags[1]) if flags else None
         fit = fit_imputation_model(
             read_dataset_csv(data, (0.0, 1.0)), privacy_epsilon=epsilon,
-            rng=RandomSource(2).split(0), intercept=bool(flags),
+            rng=RandomSource(2).split(0),
         ).fit
         assert model.read_text() == json.dumps({
             "beta": [float(b) for b in fit.beta], "private": fit.private,
@@ -192,13 +192,47 @@ class TestImpute:
     def test_imputes_from_saved_model(self, tmp_path):
         data = write_data(tmp_path, [False] * 18 + [True, True])
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"beta": [0.5, 0.5], "private": False,
+        model.write_text(json.dumps({"beta": [0.0, 0.5, 0.5], "private": False,
                                      "epsilon_spent": 0.0}))
         out = tmp_path / "completed.csv"
         assert main(
             ["impute", "--data", str(data), "--out", str(out),
              "--model", str(model)]
         ) == 0
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--stochastic"], ["--privacy-epsilon", "1"], ["--model", "model.json"],
+    ])
+    def test_intercept_flag_has_no_effect(self, tmp_path, flags):
+        # every fit has an intercept; the flag is accepted and changes nothing
+        data = write_data(tmp_path, [False] * 30 + [True] * 5)
+        (tmp_path / "model.json").write_text(json.dumps(
+            {"beta": [0.1, 0.5, 0.3], "private": False, "epsilon_spent": 0.0}))
+        flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+        outputs = []
+        for extra in ([], ["--intercept"]):
+            out = tmp_path / f"completed{len(outputs)}.csv"
+            assert main(["impute", "--data", str(data), "--out", str(out),
+                         "--seed", "4", *flags, *extra]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flags", [[], ["--privacy-epsilon", "1"], ["--stochastic"]])
+    def test_no_covariates(self, tmp_path, flags):
+        # d = 0: the model is the constant β₀ alone
+        data = tmp_path / "data.csv"
+        data.write_text("y,missing\n0.5,0\n0.2,1\n0.3,0\n")
+        out = tmp_path / "completed.csv"
+        assert main(["impute", "--data", str(data), "--out", str(out),
+                     *flags]) == 0
+        before = read_dataset_csv(data, (0.0, 1.0))
+        after = read_dataset_csv(out, (0.0, 1.0))
+        assert after.d == 0 and not after.mask.any()
+        np.testing.assert_array_equal(after.response[~before.mask],
+                                      before.observed_response)
+        assert 0.0 <= after.response[1] <= 1.0
+        if not flags:  # OLS on a constant: the mean of the observed responses
+            assert after.response[1] == pytest.approx(0.4)
 
     def test_private_fit(self, tmp_path):
         data = write_data(tmp_path, [False] * 30 + [True] * 5)
@@ -330,14 +364,16 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("model", [
         {"private": False, "epsilon_spent": 0.0},
-        {"beta": [0.5, 0.5], "private": False, "epsilon_spent": None},
-        [0.5, 0.5],
+        {"beta": [0.0, 0.5, 0.5], "private": False, "epsilon_spent": None},
+        [0.0, 0.5, 0.5],
         {"beta": [math.nan, 0.0, 0.0], "private": False, "epsilon_spent": 0.0},
-        {"beta": [0.5, "0.5"], "private": False, "epsilon_spent": 0.0},
-        {"beta": [0.5, 0.5], "private": "false", "epsilon_spent": 0.0},
-        {"beta": [0.5, 0.5], "private": True, "epsilon_spent": -1.0},
-        {"beta": [0.5, 0.5], "private": True, "epsilon_spent": math.inf},
+        {"beta": [0.0, 0.5, "0.5"], "private": False, "epsilon_spent": 0.0},
+        {"beta": [0.0, 0.5, 0.5], "private": "false", "epsilon_spent": 0.0},
+        {"beta": [0.0, 0.5, 0.5], "private": True, "epsilon_spent": -1.0},
+        {"beta": [0.0, 0.5, 0.5], "private": True, "epsilon_spent": math.inf},
         {"beta": [0.5, 0.5, 0.5, 0.5], "private": False, "epsilon_spent": 0.0},
+        # d entries, no β₀: the shape a fit without an intercept used to save
+        {"beta": [0.5, 0.5], "private": False, "epsilon_spent": 0.0},
     ])
     def test_malformed_model(self, tmp_path, capsys, model):
         data = write_data(tmp_path, [False] * 18 + [True, True])
@@ -391,19 +427,44 @@ class TestMalformedInput:
         assert main([*cmd, "--data", str(data), "--seed", "-1"]) == 3
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", [["--stochastic"], ["--intercept"],
-                                      ["--privacy-epsilon", "1"]])
+    @pytest.mark.parametrize("flag", [["--stochastic"], ["--privacy-epsilon", "1"],
+                                      ["--privacy-epsilon", "1", "--stochastic"]])
     def test_model_with_fit_flag_refused(self, tmp_path, capsys, flag):
         # a saved model fixes the fit; a fit flag next to it would be ignored
         data = write_data(tmp_path, [False] * 18 + [True, True])
         model = tmp_path / "model.json"
-        model.write_text(json.dumps({"beta": [0.5, 0.5], "private": False,
+        model.write_text(json.dumps({"beta": [0.0, 0.5, 0.5], "private": False,
                                      "epsilon_spent": 0.0}))
         out = tmp_path / "out.csv"
         assert main(["impute", "--data", str(data), "--out", str(out),
                      "--model", str(model), *flag]) == 1
         assert "--model cannot be combined" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_stochastic_private_fit_refused(self, tmp_path, capsys):
+        # a private fit has no residual variance to draw the stochastic fill from
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        out = tmp_path / "out.csv"
+        assert main(["impute", "--data", str(data), "--out", str(out),
+                     "--privacy-epsilon", "1", "--stochastic"]) == 1
+        assert "--stochastic needs a non-private fit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget", [
+        ["--epsilon", "0"], ["--epsilon", "nan"], ["--epsilon", "inf"],
+        ["--epsilon=-1"], ["--epsilon", "1", "--split", "1.5"],
+        ["--epsilon", "1", "--split", "nan"],
+    ])
+    def test_bad_query_budget_refused(self, tmp_path, capsys, budget):
+        # a bad argument exits 1 before the dataset is read, so a missing
+        # file is never reached
+        for data in (write_data(tmp_path, [False] * 18 + [True, True]),
+                     tmp_path / "nope.csv"):
+            assert main(["query", "--data", str(data), "--strategy",
+                         "dp-impute", *budget]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "bad budget" in captured.err
 
     @pytest.mark.parametrize("epsilon", ["inf", "nan", "0", "-1"])
     def test_bad_privacy_epsilon_refused(self, tmp_path, capsys, epsilon):

@@ -31,7 +31,6 @@ def model_with_beta(beta, stochastic=False, sigma2=0.0):
     fit = OlsFit(
         beta=np.asarray(beta, dtype=float),
         sigma2_hat=sigma2,
-        intercept=False,
         private=False,
         epsilon_spent=0.0,
     )
@@ -54,9 +53,14 @@ class TestFitImputationModel:
         np.testing.assert_array_equal(model.fit.beta, expected.beta)
 
     def test_recovers_truth_without_missingness(self):
-        d = benchmark_dataset(seed=2, n=10_000, missing=False)
+        # a universe wide enough that no response is clipped, so the fit
+        # targets the generating β = (0, 0.5, 0.5) itself
+        rng = RandomSource(2)
+        x = rng.uniform(size=(10_000, 2))
+        y = x @ [0.5, 0.5] + rng.normal(0, np.sqrt(0.1), 10_000)
+        d = Dataset(x, y, np.zeros(10_000, dtype=bool), Universe((-2.0, 3.0)))
         model = fit_imputation_model(d, privacy_epsilon=None)
-        np.testing.assert_allclose(model.fit.beta, [0.5, 0.5], atol=0.05)
+        np.testing.assert_allclose(model.fit.beta, [0.0, 0.5, 0.5], atol=0.05)
 
     def test_noiseless_private_limit(self):
         d = benchmark_dataset(seed=3)
@@ -67,7 +71,7 @@ class TestFitImputationModel:
 
     def test_all_missing_rejected(self):
         d = make_dataset([[0.1], [0.2], [0.3]], [0.0, 0.0, 0.0], [True, True, True])
-        with pytest.raises(DegenerateDesignError, match="0 rows and 1 columns"):
+        with pytest.raises(DegenerateDesignError, match="0 rows and 2 columns"):
             fit_imputation_model(d, privacy_epsilon=None)
 
     def test_stochastic_with_private_fit_rejected(self):
@@ -88,7 +92,7 @@ class TestImpute:
         u = Universe.unit()
         d = make_dataset([[1.0, 1.0], [0.2, 0.2], [0.4, 0.0]],
                          [0.0, 0.2, 0.2], [True, False, False], u)
-        out = impute(d, model_with_beta([0.5, 0.5]))
+        out = impute(d, model_with_beta([0.0, 0.5, 0.5]))
         assert out.response[0] == 1.0
         assert not out.mask.any()
 
@@ -96,7 +100,7 @@ class TestImpute:
         u = Universe.unit()
         d = make_dataset([[1.0, 1.0], [0.2, 0.2], [0.4, 0.0]],
                          [0.0, 0.2, 0.2], [True, False, False], u)
-        out = impute(d, model_with_beta([10.0, 10.0]))
+        out = impute(d, model_with_beta([0.0, 10.0, 10.0]))
         assert out.response[0] == 1.0
 
     def test_observed_values_bit_identical(self):
@@ -117,13 +121,14 @@ class TestImpute:
         u = Universe.unit()
         d1 = make_dataset([[0.5], [0.3]], [0.0, 0.4], [True, False], u)
         d2 = make_dataset([[0.5], [0.9]], [0.0, 0.4], [True, False], u)
-        model = model_with_beta([0.8])
+        model = model_with_beta([0.0, 0.8])
         assert impute(d1, model).response[0] == impute(d2, model).response[0]
 
     def test_dimension_mismatch_rejected(self):
-        d = benchmark_dataset(seed=8)
-        with pytest.raises(ValueError):
-            impute(d, model_with_beta([0.5]))
+        d = benchmark_dataset(seed=8)  # d = 2 needs β₀ first, then two slopes
+        for beta in ([0.5], [0.5, 0.5]):
+            with pytest.raises(ValueError, match="dataset needs 3"):
+                impute(d, model_with_beta(beta))
 
     def test_stays_in_universe(self):
         d = benchmark_dataset(seed=9)
@@ -131,15 +136,12 @@ class TestImpute:
         out = impute(d, model)
         assert ((out.response >= 0.0) & (out.response <= 1.0)).all()
 
-    @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("stochastic", [False, True])
-    def test_matches_per_record_reference(self, stochastic, intercept):
+    def test_matches_per_record_reference(self, stochastic):
         # missing record i: prediction from its gathered row, plus the i-th of
         # n draws when stochastic, clipped; every other record keeps its value
         d = benchmark_dataset(seed=12, n=300)
-        model = fit_imputation_model(
-            d, privacy_epsilon=None, stochastic=stochastic, intercept=intercept
-        )
+        model = fit_imputation_model(d, privacy_epsilon=None, stochastic=stochastic)
         out = impute(d, model, RandomSource(88))
         rows = np.nonzero(d.mask)[0]
         preds = model.fit.predict(d.covariates[rows])
@@ -151,17 +153,14 @@ class TestImpute:
         assert out.response.tolist() == expected
         assert not out.mask.any()
 
-    @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("stochastic", [False, True])
-    def test_peak_allocation(self, stochastic, intercept):
+    def test_peak_allocation(self, stochastic):
         # the predictions are clipped and filled in place and Dataset takes
         # them without a copy: one response-sized array, two while the
         # stochastic draws are added
         n = 200_000
         d = benchmark_dataset(seed=5, n=n)
-        model = fit_imputation_model(
-            d, privacy_epsilon=None, stochastic=stochastic, intercept=intercept
-        )
+        model = fit_imputation_model(d, privacy_epsilon=None, stochastic=stochastic)
         rng = RandomSource(6)
         tracemalloc.start()
         try:
@@ -177,7 +176,7 @@ class TestStochasticImpute:
         u = Universe.unit()
         d = make_dataset([[0.5], [0.3], [0.6]], [0.0, 0.3, 0.5],
                          [True, False, False], u)
-        model = model_with_beta([0.5], stochastic=True, sigma2=0.01)
+        model = model_with_beta([0.0, 0.5], stochastic=True, sigma2=0.01)
         with pytest.raises(ValueError):
             impute(d, model)
 
@@ -203,7 +202,7 @@ class TestStochasticImpute:
         # same record index gets the same draw regardless of which other
         # records are missing
         u = Universe.unit()
-        base = model_with_beta([0.5], stochastic=True, sigma2=0.01)
+        base = model_with_beta([0.0, 0.5], stochastic=True, sigma2=0.01)
         d1 = make_dataset([[0.4], [0.6], [0.2]], [0.0, 0.3, 0.1],
                           [True, False, False], u)
         d2 = make_dataset([[0.4], [0.6], [0.2]], [0.0, 0.3, 0.0],

@@ -128,15 +128,15 @@ class TestOlsFit:
         x = rng.uniform(size=(50, 2))
         y = x @ [0.5, 0.5]
         fit = ols_fit(x, y)
-        np.testing.assert_allclose(fit.beta, [0.5, 0.5], atol=1e-10)
+        np.testing.assert_allclose(fit.beta, [0.0, 0.5, 0.5], atol=1e-10)
         assert abs(fit.sigma2_hat) < 1e-12
         # σ̂² from the moments cancels y'y against β'Z'y; it stays at rounding level
-        assert 0.0 <= fit.sigma2_hat <= 1e-13 * float(y @ y) / (50 - 2)
+        assert 0.0 <= fit.sigma2_hat <= 1e-13 * float(y @ y) / (50 - 3)
         assert not fit.private and fit.epsilon_spent == 0.0
 
     def test_two_point_line(self):
         fit = ols_fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
-        np.testing.assert_allclose(fit.beta, [1.0], atol=1e-14)
+        np.testing.assert_allclose(fit.beta, [0.0, 1.0], atol=1e-14)
 
     def test_matches_high_precision_oracle(self):
         import mpmath as mp
@@ -146,28 +146,27 @@ class TestOlsFit:
         y = x @ [0.3, 0.6] + rng.normal(0, 0.1, 200)
         fit = ols_fit(x, y)
         mp.mp.dps = 50
-        xm = mp.matrix(x.tolist())
+        xm = mp.matrix([[1.0, *row] for row in x.tolist()])
         ym = mp.matrix([[v] for v in y])
         beta = mp.lu_solve(xm.T * xm, xm.T * ym)
-        oracle = np.array([float(beta[i]) for i in range(2)])
+        oracle = np.array([float(beta[i]) for i in range(3)])
         np.testing.assert_allclose(fit.beta, oracle, atol=1e-8)
 
     def test_residuals_orthogonal_to_design(self):
         rng = RandomSource(8)
         x = rng.uniform(size=(100, 2))
         y = x @ [0.2, 0.9] + rng.normal(0, 0.2, 100)
-        fit = ols_fit(x, y, intercept=True)
+        fit = ols_fit(x, y)
         xd = np.column_stack([np.ones(100), x])
         resid = y - xd @ fit.beta
         assert np.abs(xd.T @ resid).max() < 1e-8
 
-    @pytest.mark.parametrize("intercept", [False, True])
-    def test_sigma2_matches_residual_pass(self, intercept):
+    def test_sigma2_matches_residual_pass(self):
         rng = RandomSource(9)
         x = rng.uniform(size=(300, 2))
         y = x @ [0.4, 0.3] + rng.normal(0, 0.2, 300)
-        fit = ols_fit(x, y, intercept=intercept)
-        z = np.column_stack([np.ones(300), x]) if intercept else x
+        fit = ols_fit(x, y)
+        z = np.column_stack([np.ones(300), x])
         resid = y - z @ fit.beta
         expected = float(resid @ resid) / (300 - z.shape[1])
         np.testing.assert_allclose(fit.sigma2_hat, expected, rtol=1e-12)
@@ -180,21 +179,20 @@ class TestOlsFit:
     def test_too_few_rows_rejected(self):
         # the Gram check is the only size refusal; its message names the sizes
         for n in (0, 1):
-            with pytest.raises(DegenerateDesignError, match=f"{n} rows and 2 columns"):
+            with pytest.raises(DegenerateDesignError, match=f"{n} rows and 3 columns"):
                 ols_fit(np.ones((n, 2)), np.ones(n))
 
 
 class TestMoments:
-    @pytest.mark.parametrize("intercept", [False, True])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("n", [0, 257])
-    def test_match_explicit_design(self, n, d, intercept):
+    def test_match_explicit_design(self, n, d):
         rng = RandomSource(n + d)
         x = rng.uniform(size=(n, d))
         y = rng.uniform(size=n)
-        gram, zty, yty = _moments(x, y, intercept)
-        z = np.column_stack([np.ones(n), x]) if intercept else x
-        p = d + intercept
+        gram, zty, yty = _moments(x, y)
+        z = np.column_stack([np.ones(n), x])
+        p = d + 1
         assert gram.shape == (p, p) and zty.shape == (p,)
         np.testing.assert_allclose(gram, z.T @ z, rtol=1e-12, atol=0)
         np.testing.assert_allclose(zty, z.T @ y, rtol=1e-12, atol=0)
@@ -209,10 +207,7 @@ class TestMoments:
         y = rng.uniform(size=200_000)
         fits = [
             lambda: ols_fit(x, y),
-            lambda: ols_fit(x, y, intercept=True),
-            lambda: functional_mechanism_ols(
-                x, y, 1.0, RandomSource(0), intercept=True
-            ),
+            lambda: functional_mechanism_ols(x, y, 1.0, RandomSource(0)),
         ]
         for fit in fits:
             tracemalloc.start()
@@ -229,31 +224,20 @@ class TestFunctionalMechanism:
         assert functional_mechanism_sensitivity(2) == 16.0
         assert functional_mechanism_sensitivity(3) == 30.0
 
-    def test_huge_epsilon_recovers_ols_no_intercept(self):
-        rng = RandomSource(20)
+    def test_huge_epsilon_recovers_ols_intercept(self):
+        rng = RandomSource(21)
         x = rng.uniform(size=(500, 2))
         y = np.clip(x @ [0.5, 0.5] + rng.normal(0, 0.1, 500), 0, 1)
         fm = functional_mechanism_ols(x, y, 1e12, rng.split(0))
         ols = ols_fit(x, y)
         np.testing.assert_allclose(fm.beta, ols.beta, atol=1e-6)
 
-    def test_huge_epsilon_recovers_ols_intercept(self):
-        rng = RandomSource(21)
-        x = rng.uniform(size=(500, 2))
-        y = np.clip(x @ [0.5, 0.5] + rng.normal(0, 0.1, 500), 0, 1)
-        fm = functional_mechanism_ols(x, y, 1e12, rng.split(0), intercept=True)
-        ols = ols_fit(x, y, intercept=True)
-        np.testing.assert_allclose(fm.beta, ols.beta, atol=1e-6)
-
     def test_empty_design_gives_bounded_fit(self):
         # no rows: the mechanism minimises pure noise, trimmed and clipped to
         # the coefficient box; ε-DP needs no size check
         x, y = np.empty((0, 2)), np.empty(0)
+        # with [0, 1] responses, β = (tγ + e₀) / 2
         fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0))
-        assert np.isfinite(fit.beta).all()
-        assert np.abs(fit.beta).max() <= DEFAULT_COEF_BOUND
-        # with an intercept and [0, 1] responses, β = (tγ + e₀) / 2
-        fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0), intercept=True)
         assert np.isfinite(fit.beta).all()
         assert np.abs(fit.beta[1:]).max() <= DEFAULT_COEF_BOUND
         assert abs(fit.beta[0]) <= (3 * DEFAULT_COEF_BOUND + 1) / 2
@@ -330,7 +314,7 @@ class TestFunctionalMechanism:
         x = RandomSource(42).uniform(size=(50, 2))
         y = x @ [0.5, 0.5]
         fit = functional_mechanism_ols(
-            x, y, 1.0, RandomSource(0), intercept=True, response_bounds=(-1.0, 3.0)
+            x, y, 1.0, RandomSource(0), response_bounds=(-1.0, 3.0)
         )
         np.testing.assert_array_equal(fit.beta, [1.0, 0.0, 0.0])
 
@@ -338,7 +322,7 @@ class TestFunctionalMechanism:
         self._stub_noise(monkeypatch, 1e6, -1e6, 0.0)
         x = RandomSource(43).uniform(size=(50, 2))
         y = x @ [0.5, 0.5]
-        fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0), intercept=True)
+        fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0))
         assert np.isfinite(fit.beta).all()
         gamma, _, a = _perturbed_quadratic_min(
             x.T @ x, x.T @ y, 1.0, RandomSource(0)
@@ -349,12 +333,16 @@ class TestFunctionalMechanism:
 
     def test_mean_beta_near_truth_at_benchmark_scale(self):
         # d=2, n=10,000, beta=(0.5,0.5), sigma2=0.1, eps=0.5: approximate
-        # unbiasedness because coefficient noise is O(1) vs Gram entries O(n)
-        betas = []
+        # unbiasedness because coefficient noise is O(1) vs Gram entries O(n).
+        # Clipping y into [0, 1] moves the fit off (0, 0.5, 0.5), so the
+        # target is the mean OLS fit on the same data
+        fm_betas, ols_betas = [], []
         for s in range(200):
             rng = RandomSource(1000 + s)
             x = rng.uniform(size=(10_000, 2))
             y = np.clip(x @ [0.5, 0.5] + rng.normal(0, np.sqrt(0.1), 10_000), 0, 1)
-            betas.append(functional_mechanism_ols(x, y, 0.5, rng.split(0)).beta)
-        mean_beta = np.mean(betas, axis=0)
-        np.testing.assert_allclose(mean_beta, [0.5, 0.5], atol=0.05)
+            fm_betas.append(functional_mechanism_ols(x, y, 0.5, rng.split(0)).beta)
+            ols_betas.append(ols_fit(x, y).beta)
+        np.testing.assert_allclose(
+            np.mean(fm_betas, axis=0), np.mean(ols_betas, axis=0), atol=0.05
+        )

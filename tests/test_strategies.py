@@ -150,7 +150,7 @@ class TestDpImputeThenQuery:
         budget = PrivacyBudget(2e12, imputation_share=0.9999999999995)
         rng = RandomSource(25)
         res = run_dp_impute_then_query(d, budget, rng)
-        model = fit_imputation_model(d, privacy_epsilon=None, intercept=True)
+        model = fit_imputation_model(d, privacy_epsilon=None)
         completed = impute(d, model)
         eps2 = budget.epsilon_analysis
         noise = laplace_sample(
