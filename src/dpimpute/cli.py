@@ -227,11 +227,21 @@ def cmd_query(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """--seed: an int >= 0; anything else is a usage error (exit 1)."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+
+
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="dataset CSV (x1..xd,y,missing)")
     p.add_argument("--lo", type=float, default=0.0, help="response lower bound")
     p.add_argument("--hi", type=float, default=1.0, help="response upper bound")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_seed, default=0, help="random seed (>= 0)")
 
 
 class _ArgumentParser(argparse.ArgumentParser):

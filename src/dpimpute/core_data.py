@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -212,38 +212,57 @@ def write_dataset_csv(d: Dataset, path) -> None:
         )
 
 
+def _raise_first_bad_line(lines, d: int) -> None:
+    """Rescan the records of ``lines`` in file order and raise the error of
+    the first bad one; N in ``line N`` counts blank lines too."""
+    for num, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        row = line.split(",")
+        if len(row) != d + 2:
+            raise ValueError(f"line {num}: expected {d + 2} fields, got {len(row)}")
+        if row[d + 1] not in ("0", "1"):
+            raise ValueError(f"line {num}: missing must be 0 or 1")
+        try:
+            list(map(float, row[: d + (row[d + 1] == "0")]))  # a masked y is unread
+        except ValueError as exc:
+            raise ValueError(f"line {num}: {exc}") from None
+
+
 def read_dataset_csv(path, response_bounds: tuple[float, float]) -> Dataset:
     """Read a dataset whose header fixes d; every covariate must lie in
     COVARIATE_BOUNDS and every observed response in ``response_bounds``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        d = len(header or ()) - 2
-        expected = [f"x{j + 1}" for j in range(d)] + ["y", "missing"]
-        if header != expected:
-            raise ValueError(f"bad CSV header {header!r}, expected {expected!r}")
-        universe = Universe(tuple(response_bounds))
-        xs, ys, ms = [], [], []
-        for row in r:
-            if not row:
-                continue
-            if len(row) != d + 2:
-                raise ValueError(
-                    f"line {r.line_num}: expected {d + 2} fields, got {len(row)}"
-                )
-            if row[d + 1] not in ("0", "1"):
-                raise ValueError(f"line {r.line_num}: missing must be 0 or 1")
-            missing = row[d + 1] == "1"
-            try:
-                xs.append([float(v) for v in row[:d]])
-                ys.append(np.nan if missing else float(row[d]))
-            except ValueError as exc:
-                raise ValueError(f"line {r.line_num}: {exc}") from None
-            ms.append(missing)
-    if not ms:
+    with open(path, encoding="utf-8") as fh:  # \n, \r\n and \r each end a line
+        lines = fh.read().split("\n")
+    # None for an empty file, [] for a blank first line
+    header = lines[0].split(",") if lines[0] else [] if len(lines) > 1 else None
+    d = len(header or ()) - 2
+    expected = [f"x{j + 1}" for j in range(d)] + ["y", "missing"]
+    if header != expected:
+        raise ValueError(f"bad CSV header {header!r}, expected {expected!r}")
+    universe = Universe(tuple(response_bounds))
+    body = list(filter(None, lines[1:]))  # blank lines are skipped
+    if not body:
         raise ValueError("no records after the header")
-    x = np.array(xs)
+    n, k = len(body), d + 2
+    fields = ",".join(body).split(",")
+    flags = fields[k - 1 :: k]
+    try:
+        if {ln.count(",") for ln in body} != {k - 1} or not {*flags} <= {"0", "1"}:
+            raise ValueError("malformed record")
+        m = np.fromiter(map("1".__eq__, flags), bool, n)
+        x = np.empty((n, d))
+        for j in range(d):
+            x[:, j] = np.fromiter(map(float, fields[j::k]), np.float64, n)
+        observed = compress(fields[d::k], map("0".__eq__, flags))
+        y = np.full(n, np.nan)
+        y[~m] = np.fromiter(map(float, observed), np.float64, n - np.count_nonzero(m))
+    except ValueError:
+        _raise_first_bad_line(lines, d)
+        raise  # unreachable: the rescan refuses every record the bulk parse does
     lo, hi = COVARIATE_BOUNDS
     if x.size and not (lo <= x.min() and x.max() <= hi):  # NaN fails too
         raise _outside_universe(zip(expected, x.T), lo, hi)
-    return Dataset(x, np.array(ys), np.array(ms), universe)
+    for a in (x, y, m):  # owned and read-only, so Dataset shares them
+        a.setflags(write=False)
+    return Dataset(x, y, m, universe)

@@ -421,11 +421,16 @@ class TestMalformedInput:
         ["query", "--strategy", "impute", "--epsilon", "1"],
         ["impute", "--out", "completed.csv"],
     ])
-    def test_negative_seed_is_runtime_error(self, tmp_path, capsys, cmd):
+    def test_negative_seed_is_bad_argument(self, tmp_path, capsys, cmd):
         data = write_data(tmp_path, [False] * 18 + [True, True])
         cmd = [str(tmp_path / a) if a.endswith(".csv") else a for a in cmd]
-        assert main([*cmd, "--data", str(data), "--seed", "-1"]) == 3
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*cmd, "--data", str(data), "--seed", "-1"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be an integer >= 0, got '-1'" in captured.err
+        assert not (tmp_path / "completed.csv").exists()
 
     @pytest.mark.parametrize("flag", [["--stochastic"], ["--privacy-epsilon", "1"],
                                       ["--privacy-epsilon", "1", "--stochastic"]])

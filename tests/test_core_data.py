@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -17,7 +18,8 @@ from dpimpute import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from dpimpute.core_data import COVARIATE_BOUNDS
+from dpimpute import core_data
+from dpimpute.core_data import COVARIATE_BOUNDS, _outside_universe
 
 
 def make_dataset(x, y, mask, universe=None):
@@ -335,3 +337,204 @@ class TestCsvRoundTrip:
         back = read_dataset_csv(path, (-2.0, 5.0))
         assert back.universe == u
         assert hamming_distance(data, back) == 0
+
+
+def read_with_csv_reader(path, response_bounds):
+    """The per-row csv.reader loop that read_dataset_csv replaced, kept as
+    the oracle for its results and its error messages."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        r = csv.reader(fh)
+        header = next(r, None)
+        d = len(header or ()) - 2
+        expected = [f"x{j + 1}" for j in range(d)] + ["y", "missing"]
+        if header != expected:
+            raise ValueError(f"bad CSV header {header!r}, expected {expected!r}")
+        universe = Universe(tuple(response_bounds))
+        xs, ys, ms = [], [], []
+        for row in r:
+            if not row:
+                continue
+            if len(row) != d + 2:
+                raise ValueError(
+                    f"line {r.line_num}: expected {d + 2} fields, got {len(row)}"
+                )
+            if row[d + 1] not in ("0", "1"):
+                raise ValueError(f"line {r.line_num}: missing must be 0 or 1")
+            missing = row[d + 1] == "1"
+            try:
+                xs.append([float(v) for v in row[:d]])
+                ys.append(np.nan if missing else float(row[d]))
+            except ValueError as exc:
+                raise ValueError(f"line {r.line_num}: {exc}") from None
+            ms.append(missing)
+    if not ms:
+        raise ValueError("no records after the header")
+    x = np.array(xs)
+    lo, hi = COVARIATE_BOUNDS
+    if x.size and not (lo <= x.min() and x.max() <= hi):
+        raise _outside_universe(zip(expected, x.T), lo, hi)
+    return Dataset(x, np.array(ys), np.array(ms), universe)
+
+
+def outcome(reader, path, bounds):
+    """The bits a reader returns, or the text of the ValueError it raises."""
+    try:
+        d = reader(path, bounds)
+    except ValueError as exc:
+        return "error", str(exc)
+    assert d.covariates.dtype == d.response.dtype == np.float64
+    return (d.covariates.shape, d.covariates.tobytes(), d.response.tobytes(),
+            d.mask.tolist(), d.universe)
+
+
+BOUNDS = (-1.0, 2e16)
+SPECIALS = ["5e-324", "-0.0", "0.0", "1.0"]
+
+
+def generated_lines(rng, d, n):
+    """Header plus n records: specials mixed with repr of uniform draws,
+    some rows masked; 1e16 can appear as a response only."""
+    def value(extra=()):
+        pool = SPECIALS + list(extra)
+        if rng.random() < 0.4:
+            return pool[rng.integers(len(pool))]
+        return repr(float(rng.random()))
+
+    lines = [",".join([f"x{j + 1}" for j in range(d)] + ["y", "missing"])]
+    for _ in range(n):
+        masked = bool(rng.random() < 0.3)
+        y = "" if masked else value(["1e16", "1e+16"])
+        lines.append(",".join([value() for _ in range(d)] + [y, "01"[masked]]))
+    return lines
+
+
+def corrupt(rng, lines, kind):
+    """Break one record line; "two bad lines" gives one an extra field and a
+    later one the flag ``yes``."""
+    hows = ["extra field", "flag yes"] if kind == "two bad lines" else [kind]
+    rows = sorted(rng.choice(np.arange(1, len(lines)), size=len(hows), replace=False))
+    lines = list(lines)
+    for t, how in zip(rows, hows):
+        f = lines[t].split(",")
+        if how == "short row":
+            f = f[1:]  # never empty: a masked d = 0 row is ",1"
+        elif how == "extra field":
+            f.append("extra")
+        elif how == "flag yes":
+            f[-1] = "yes"
+        elif how == "covariate abc":
+            f[0] = "abc"
+        elif how == "empty observed y":
+            f[-2:] = ["", "0"]
+        lines[t] = ",".join(f)
+    return lines
+
+
+def layout(rng, lines, style):
+    """The file bytes of ``lines``: as written, or with spaces around some
+    values (never a flag) and blank lines after some lines."""
+    if style != "plain":
+        spaced = [lines[0]]
+        for ln in lines[1:]:
+            *values, flag = ln.split(",")
+            values = [f" {v}  " if v and rng.random() < 0.5 else v for v in values]
+            spaced.append(",".join([*values, flag]))
+            if rng.random() < 0.2:
+                spaced.extend([""] * int(rng.integers(1, 3)))
+        lines = spaced
+    sep = "\r\n" if style == "crlf" else "\n"
+    return (sep.join(lines) + sep).encode()
+
+
+class TestReaderEquivalence:
+    """The whole-file parse returns the csv.reader loop's bits or raises its
+    message, on seeded generated files."""
+
+    @pytest.mark.parametrize("d, kind", [
+        (d, kind)
+        for d in (0, 1, 3)
+        for kind in (None, "short row", "extra field", "flag yes", "covariate abc",
+                     "empty observed y", "two bad lines")
+        if d or kind != "covariate abc"  # d = 0 has no covariate field
+    ])
+    def test_same_dataset_or_same_error(self, tmp_path, d, kind):
+        path = tmp_path / "data.csv"
+        for seed in range(3):
+            rng = np.random.default_rng([seed, d])
+            lines = generated_lines(rng, d, 40)
+            if kind:
+                lines = corrupt(rng, lines, kind)
+            for style in ("plain", "padded", "crlf"):
+                path.write_bytes(layout(rng, lines, style))
+                new = outcome(read_dataset_csv, path, BOUNDS)
+                assert new == outcome(read_with_csv_reader, path, BOUNDS)
+                assert (new[0] == "error") == (kind is not None)
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "\nx1,y,missing\n0.5,0.5,0\n", "x1,y,missing", "x1,y,missing\n\n\n",
+        "x1,y,missing\n0.5,0.5,0\n1.5,0.5,0\n", "y,missing\n0.5,0\n,1\n",
+        "x1,y\n0.5,0.5\n", "x1,y,missing\r\n\r\n0.5,,1\r0.25,0.5,0",
+        "x1,y,missing\n 0.5 ,\t1_0 ,0\n", "x1,y,missing\n-inf,nan,0\n",
+        "x1,y,missing\n0.5\x0c,0.5\x1c,0\n0.25\u2028,,1\n",  # no split at \f, \x1c or \u2028
+    ])
+    def test_edge_files(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode())
+        assert (outcome(read_dataset_csv, path, BOUNDS)
+                == outcome(read_with_csv_reader, path, BOUNDS))
+
+
+class TestReaderEdges:
+    def write(self, tmp_path, text, name="data.csv"):
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        return path
+
+    def read(self, tmp_path, text):
+        return read_dataset_csv(self.write(tmp_path, text), (0.0, 1.0))
+
+    def test_blank_line_before_bad_row_gives_physical_line(self, tmp_path):
+        with pytest.raises(ValueError, match=(
+            r"^line 5: could not convert string to float: 'abc'$"
+        )):
+            self.read(tmp_path, "x1,y,missing\n0.1,0.2,0\n\n\n0.3,abc,0\n")
+
+    def test_first_of_two_bad_lines_is_reported(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^line 3: missing must be 0 or 1$"):
+            self.read(tmp_path, "x1,y,missing\n0.1,0.2,0\n0.1,0.2,yes\n0.3\n")
+
+    def test_masked_response_field_is_unread(self, tmp_path):
+        d = self.read(tmp_path, "x1,y,missing\n0.3,abc,1\n0.1,0.2,0\n")
+        assert d.mask.tolist() == [True, False]
+        assert d.response[1] == 0.2
+
+    def test_crlf_and_lf_give_same_dataset(self, tmp_path):
+        text = "x1,x2,y,missing\n0.1,0.2,0.3,0\n\n0.4,0.5,,1\n0.6,0.7,0.8,0\n"
+        lf = self.write(tmp_path, text, "lf.csv")
+        crlf = self.write(tmp_path, text.replace("\n", "\r\n"), "crlf.csv")
+        got = outcome(read_dataset_csv, lf, (0.0, 1.0))
+        assert got == outcome(read_dataset_csv, crlf, (0.0, 1.0))
+        assert got[0] == (3, 2) and got[3] == [False, True, False]
+
+    def test_quoted_field_refused(self, tmp_path):
+        # no quoting: the writer never quotes; csv.reader used to unquote
+        path = self.write(tmp_path, 'x1,y,missing\n0.1,"0.5",0\n')
+        with pytest.raises(ValueError, match=(
+            r"""^line 2: could not convert string to float: '"0\.5"'$"""
+        )):
+            read_dataset_csv(path, (0.0, 1.0))
+        assert read_with_csv_reader(path, (0.0, 1.0)).response.tolist() == [0.5]
+
+    def test_covariates_are_shared_not_copied(self, tmp_path, monkeypatch):
+        shared, frozen = [], core_data._frozen
+
+        def spy(a, dtype):
+            out = frozen(a, dtype)
+            shared.append(out is a)
+            return out
+
+        monkeypatch.setattr(core_data, "_frozen", spy)
+        d = self.read(tmp_path, "x1,y,missing\n0.1,0.2,0\n0.4,,1\n")
+        assert shared == [True, True, True]  # covariates, mask, response
+        assert not d.covariates.flags.writeable
+        assert d.covariates.base is None
