@@ -37,8 +37,6 @@ from .sensitivity import (
     group_privacy_factor,
     inflated_sensitivity,
     mean_global_sensitivity,
-    mean_of_observed_imputer,
-    mean_query,
     tightness_gap,
 )
 from .simulation import (

@@ -123,11 +123,17 @@ def cmd_bounds(args) -> int:
         payload = {
             "base_sensitivity": base,
             "inflated_sensitivity": report.inflated_sensitivity,
-            "group_privacy_factor": group_privacy_factor(
-                args.epsilon, args.n_mis + 1
-            ),
-            "uniform_worst_case": math.exp(args.n * args.epsilon),
         }
+        for key, k, exponent in (
+            ("group_privacy_factor", args.n_mis + 1, "(n_mis+1)·ε"),
+            ("uniform_worst_case", args.n, "n·ε"),
+        ):
+            try:
+                payload[key] = group_privacy_factor(args.epsilon, k)
+            except OverflowError:
+                raise ValueError(
+                    f"{key} = e^({exponent}) = e^{k * args.epsilon:g} overflows a float"
+                ) from None
         text = json.dumps(payload, allow_nan=False)
     except (ValueError, OverflowError) as exc:
         return _fail(EXIT_BAD_CONFIG, str(exc))

@@ -3,15 +3,14 @@ factor, tightness construction, and an exhaustive small-universe oracle."""
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core_data import Dataset, Universe
+from .core_data import Dataset, Universe, n_mis
 from .imputation import fit_imputation_model, impute
 
 
@@ -84,30 +83,11 @@ def tightness_gap(a: float, b: float, n: int) -> float:
 
 # --- exhaustive small-universe oracle ----------------------------------------
 
-# an imputer maps (values, mask) to a completed value vector, or raises
-# ValueError where it is undefined (e.g. no observed values to fit on)
-Imputer = Callable[[np.ndarray, np.ndarray], np.ndarray]
-Query = Callable[[np.ndarray], float]
-
-# a record state is (value, missing); missing records carry a single state
-# because the sentinel under the mask is not data
-_MISSING = (None, True)
-
-
-@dataclass(frozen=True)
-class OracleInstance:
-    values: tuple
-    mask: tuple[bool, ...]
-
-    @property
-    def n_mis(self) -> int:
-        return sum(self.mask)
-
 
 @dataclass(frozen=True)
 class BoundViolation:
-    dataset: OracleInstance
-    neighbor: OracleInstance
+    dataset: Dataset
+    neighbor: Dataset
     gap: float
     bound: float
 
@@ -115,116 +95,88 @@ class BoundViolation:
 @dataclass(frozen=True)
 class BruteForceResult:
     max_gap: float
-    witness: tuple[OracleInstance, OracleInstance]
+    witness: tuple[Dataset, Dataset]
     violations: tuple[BoundViolation, ...]
     base_sensitivity: float
     n_evaluations: int
 
-    def witness_csv(self) -> str:
-        out = io.StringIO()
-        out.write("record,value_d,missing_d,value_dprime,missing_dprime\n")
-        d1, d2 = self.witness
-        for i, ((v1, m1), (v2, m2)) in enumerate(
-            zip(zip(d1.values, d1.mask), zip(d2.values, d2.mask))
-        ):
-            out.write(
-                f"{i},{'' if m1 else repr(float(v1))},{int(m1)},"
-                f"{'' if m2 else repr(float(v2))},{int(m2)}\n"
-            )
-        return out.getvalue()
+
+def _spread_covariates(n: int) -> np.ndarray:
+    """The n x 1 covariates x_i = i/(n-1), spread over COVARIATE_BOUNDS."""
+    x = np.arange(n, dtype=np.float64).reshape(n, 1) / max(n - 1, 1)
+    x.setflags(write=False)  # owned and read-only, so every Dataset shares it
+    return x
 
 
-def mean_of_observed_imputer(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Fill every missing entry with the mean of the observed entries."""
-    if mask.all():
-        raise ValueError("undefined: no observed values")
-    out = np.array(values, dtype=np.float64)
-    out[mask] = values[~mask].mean()
-    return out
-
-
-def mean_query(values: np.ndarray) -> float:
-    return float(values.mean())
+def _imputed_mean(d: Dataset) -> float:
+    """The mean of d completed as impute-then-query does it: a plain OLS fit
+    on the complete cases, then clipped prediction."""
+    return float(impute(d, fit_imputation_model(d, None)).response.mean())
 
 
 def brute_force_imputed_sensitivity(
     grid: Sequence[float],
     n: int,
-    imputer: Imputer,
-    query: Query,
     allow_missingness: bool = True,
     max_evaluations: int = 10_000_000,
 ) -> BruteForceResult:
     """Enumerate every dataset over the grid and every single-record neighbor.
 
-    Returns the maximum imputed-query gap with a lexicographically first
-    witness pair, plus every instance violating the (n_mis+1)*Delta bound
-    (empty when the inflation bound holds, which it must for conforming
-    imputers).  The grid endpoints are taken as the universe bounds.
+    The n records sit at the fixed covariates x_i = i/(n-1); each record's
+    response is a grid value or, with ``allow_missingness``, missing, and the
+    grid endpoints are the universe.  Each dataset is scored by the mean of
+    its completion under the shipped imputer; one on which the fit or the
+    imputation raises ValueError (a singular design, e.g. fewer than two
+    complete cases) is undefined and skipped.  Returns the maximum imputed-mean gap with a lexicographically
+    first witness pair, plus every pair violating the (n_mis+1)*Delta bound
+    (empty when the inflation bound holds, which it must).
     """
     grid = sorted(float(g) for g in grid)
     if len(grid) < 2:
         raise ValueError("grid needs at least two values")
-    states: list[tuple] = [(g, False) for g in grid]
-    if allow_missingness:
-        states.append(_MISSING)
+    states = np.array(grid + ([math.nan] if allow_missingness else []))  # NaN: missing
     s = len(states)
     required = s**n * (1 + n * (s - 1))
     if required > max_evaluations:
         raise EnumerationBudgetError(required, max_evaluations)
 
+    universe = Universe((grid[0], grid[-1]))
+    x = _spread_covariates(n)
     delta = (grid[-1] - grid[0]) / n
 
-    def evaluate(combo) -> float | None:
-        vals = np.array([0.0 if v is None else v for v, _ in combo])
-        mask = np.array([m for _, m in combo])
+    def evaluate(combo) -> tuple[Dataset, float | None]:
+        y = states[list(combo)]
+        d = Dataset(x, y, np.isnan(y), universe)
         try:
-            completed = imputer(vals, mask)
+            return d, _imputed_mean(d)
         except ValueError:
-            return None
-        return query(completed)
+            return d, None
 
-    q_cache: dict[tuple, float | None] = {}
-    for combo in itertools.product(states, repeat=n):
-        q_cache[combo] = evaluate(combo)
-
-    def to_instance(combo) -> OracleInstance:
-        return OracleInstance(
-            values=tuple(None if m else v for v, m in combo),
-            mask=tuple(m for _, m in combo),
-        )
-
+    scored = {c: evaluate(c) for c in itertools.product(range(s), repeat=n)}
     max_gap = -1.0
     witness = None
     violations: list[BoundViolation] = []
-    n_eval = len(q_cache)
-    for combo in itertools.product(states, repeat=n):
-        qd = q_cache[combo]
+    n_eval = len(scored)
+    for combo, (d, qd) in scored.items():
         if qd is None:
             continue
-        nm = sum(m for _, m in combo)
-        bound = (nm + 1) * delta
+        bound = (n_mis(d) + 1) * delta
         for i in range(n):
-            for st in states:
+            for st in range(s):
                 if st == combo[i]:
                     continue
-                neighbor = combo[:i] + (st,) + combo[i + 1 :]
-                qn = q_cache[neighbor]
+                neighbor, qn = scored[combo[:i] + (st,) + combo[i + 1 :]]
                 if qn is None:
                     continue
                 gap = abs(qd - qn)
                 n_eval += 1
                 if gap > max_gap:
                     max_gap = gap
-                    witness = (to_instance(combo), to_instance(neighbor))
+                    witness = (d, neighbor)
                 if gap > bound + 1e-12:
-                    violations.append(
-                        BoundViolation(
-                            to_instance(combo), to_instance(neighbor), gap, bound
-                        )
-                    )
+                    violations.append(BoundViolation(d, neighbor, gap, bound))
     if witness is None:
-        raise ValueError("imputer was undefined on every enumerated dataset")
+        raise ValueError("imputer was undefined on every enumerated neighbor pair")
     return BruteForceResult(
         max_gap=max_gap,
         witness=witness,
@@ -249,19 +201,18 @@ def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitn
     """Neighbor pair on which one flipped response drives all imputed values
     across the full range, achieving gap = (n-1)(b-a)/n exactly.
 
-    Each side is imputed as impute-then-query does it: an OLS fit of
-    y = β₀ + β₁x on the complete cases, then clipped prediction.  The two
-    complete cases sit at covariates 0 and 1 with responses (a, a) versus
-    (a, b); the n-2 missing records sit at covariate 4, where the second
-    fitted line extrapolates past b and is clipped.
+    The records sit at the oracle's covariates x_i = i/(n-1), and each side
+    is imputed by the shipped imputer.  Records 0 and 1 are the complete
+    cases, with responses (a, a) versus (a, b).  The second fitted line
+    rises by b - a per step of 1/(n-1), so it predicts above b at every
+    missing record (x >= 2/(n-1)), and the n-2 fills are clipped to b.
     """
     if n < 3:
         raise ValueError(f"construction needs n >= 3, got {n}")
     if not a < b:
         raise ValueError(f"need a < b, got a={a}, b={b}")
     universe = Universe((a, b))
-    x = np.full((n, 1), 4.0)
-    x[:2, 0] = (0.0, 1.0)
+    x = _spread_covariates(n)
     mask = np.ones(n, dtype=bool)
     mask[:2] = False
     y1 = np.full(n, a)
@@ -269,11 +220,7 @@ def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitn
     y2[1] = b
     d1 = Dataset(x, y1, mask, universe)
     d2 = Dataset(x, y2, mask, universe)
-    means = [
-        float(impute(d, fit_imputation_model(d, None)).response.mean())
-        for d in (d1, d2)
-    ]
-    gap = abs(means[0] - means[1])
+    gap = abs(_imputed_mean(d1) - _imputed_mean(d2))
     delta = (b - a) / n
     report = SensitivityReport(
         base_sensitivity=delta,

@@ -21,8 +21,6 @@ from dpimpute import (
     functional_mechanism_ols,
     generate_population,
     inject_missingness,
-    mean_of_observed_imputer,
-    mean_query,
     ols_fit,
     run_dp_impute_then_query,
     run_sweep,
@@ -122,10 +120,10 @@ def test_criterion_4_inflation_bound_oracle():
     ok = True
     details = []
     for n in (2, 3, 4):
-        res = brute_force_imputed_sensitivity(
-            [0.0, 0.5, 1.0], n, mean_of_observed_imputer, mean_query
-        )
+        # the shipped OLS imputer on in-domain covariates, mask flips included
+        res = brute_force_imputed_sensitivity([0.0, 0.5, 1.0], n)
         ok &= res.violations == ()
+        ok &= math.isclose(res.max_gap, (n - 1) / n)
         ok &= res.base_sensitivity <= res.max_gap + 1e-12
         details.append(f"n={n}: max_gap={res.max_gap:.4f}, violations={len(res.violations)}")
     runtime = time.monotonic() - t0

@@ -133,6 +133,17 @@ class TestBounds:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    @pytest.mark.parametrize("n_mis, n, message", [
+        ("0", "1000", "uniform_worst_case = e^(n·ε) = e^1000 overflows a float"),
+        ("709", "709", "group_privacy_factor = e^((n_mis+1)·ε) = e^710 overflows a float"),
+    ])
+    def test_overflowing_factor_is_named(self, capsys, n_mis, n, message):
+        assert main(["bounds", "--epsilon", "1", "--n-mis", n_mis, "--lo", "0",
+                     "--hi", "1", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_more_missing_than_records_refused(self, capsys):
         # no dataset of 10 records has 20 missing responses
         assert main(["bounds", "--epsilon", "1", "--n-mis", "20", "--lo", "0",

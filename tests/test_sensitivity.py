@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpimpute import (
+    Dataset,
     EnumerationBudgetError,
     SensitivityReport,
     Universe,
@@ -15,10 +16,12 @@ from dpimpute import (
     hamming_distance,
     inflated_sensitivity,
     mean_global_sensitivity,
-    mean_of_observed_imputer,
-    mean_query,
+    read_dataset_csv,
     tightness_gap,
+    write_dataset_csv,
 )
+from dpimpute import sensitivity
+from dpimpute.core_data import COVARIATE_BOUNDS
 
 
 class TestMeanGlobalSensitivity:
@@ -108,42 +111,47 @@ class TestTightnessGap:
 class TestBruteForceOracle:
     def test_no_missingness_reduces_to_global_sensitivity(self):
         res = brute_force_imputed_sensitivity(
-            [0.0, 0.5, 1.0], 2, mean_of_observed_imputer, mean_query,
-            allow_missingness=False,
+            [0.0, 0.5, 1.0], 2, allow_missingness=False
         )
         assert res.max_gap == pytest.approx(0.5)
         assert res.violations == ()
 
-    def test_mean_imputer_within_bound(self):
-        res = brute_force_imputed_sensitivity(
-            [0.0, 0.5, 1.0], 3, mean_of_observed_imputer, mean_query
-        )
+    def test_shipped_imputer_within_bound(self):
+        res = brute_force_imputed_sensitivity([0.0, 0.5, 1.0], 3)
         assert res.violations == ()
+        # the shipped imputer reaches the tightness gap (n-1)(b-a)/n in-domain
+        assert math.isclose(res.max_gap, tightness_gap(0.0, 1.0, 3))
         # first inequality: global sensitivity is within the enumerated max
         assert res.base_sensitivity <= res.max_gap + 1e-12
 
     def test_witness_is_deterministic(self):
-        a = brute_force_imputed_sensitivity(
-            [0.0, 1.0], 3, mean_of_observed_imputer, mean_query
-        )
-        b = brute_force_imputed_sensitivity(
-            [0.0, 1.0], 3, mean_of_observed_imputer, mean_query
-        )
-        assert a.witness == b.witness and a.max_gap == b.max_gap
+        a = brute_force_imputed_sensitivity([0.0, 1.0], 3)
+        b = brute_force_imputed_sensitivity([0.0, 1.0], 3)
+        assert a.max_gap == b.max_gap
+        assert all(hamming_distance(p, q) == 0 for p, q in zip(a.witness, b.witness))
 
     def test_budget_guard(self):
         with pytest.raises(EnumerationBudgetError):
-            brute_force_imputed_sensitivity(
-                [0.0, 0.5, 1.0], 12, mean_of_observed_imputer, mean_query
-            )
+            brute_force_imputed_sensitivity([0.0, 0.5, 1.0], 12)
 
-    def test_witness_csv_shape(self):
-        res = brute_force_imputed_sensitivity(
-            [0.0, 1.0], 2, mean_of_observed_imputer, mean_query
-        )
-        lines = res.witness_csv().splitlines()
-        assert lines[0] == "record,value_d,missing_d,value_dprime,missing_dprime"
-        assert len(lines) == 3
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_planted_bound_breaker_is_caught(self, monkeypatch, n):
+        # an imputer that overwrites every record, observed ones included,
+        # with b once any completed response reaches b; a check that never
+        # compared anything would pass it
+        real_impute = sensitivity.impute
+
+        def planted(d, model):
+            out = real_impute(d, model)
+            hi = d.universe.response_bounds[1]
+            if (out.response == hi).any():
+                return Dataset(out.covariates, np.full(d.n, hi), out.mask, d.universe)
+            return out
+
+        monkeypatch.setattr(sensitivity, "impute", planted)
+        res = brute_force_imputed_sensitivity([0.0, 0.5, 1.0], n)
+        assert res.violations != ()
+        assert all(v.gap > v.bound for v in res.violations)
 
 
 class TestTightnessWitness:
@@ -161,3 +169,19 @@ class TestTightnessWitness:
         w = extrapolation_tightness_witness(2.0, 5.0, 6)
         assert w.gap == pytest.approx(tightness_gap(2.0, 5.0, 6))
         assert w.report.bound_tight
+
+
+def test_witness_pairs_are_valid_inputs(tmp_path):
+    oracle = brute_force_imputed_sensitivity([0.0, 0.5, 1.0], 4).witness
+    tight = extrapolation_tightness_witness(0.0, 1.0, 10)
+    lo, hi = COVARIATE_BOUNDS
+    for pair in (oracle, (tight.dataset, tight.neighbor)):
+        assert hamming_distance(*pair) == 1
+        for d in pair:
+            assert ((lo <= d.covariates) & (d.covariates <= hi)).all()
+            path = tmp_path / "witness.csv"
+            write_dataset_csv(d, path)
+            back = read_dataset_csv(path, d.universe.response_bounds)
+            np.testing.assert_array_equal(back.covariates, d.covariates)
+            np.testing.assert_array_equal(back.response, d.response)  # NaN == NaN
+            np.testing.assert_array_equal(back.mask, d.mask)
