@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -74,7 +75,24 @@ def _frozen(a, dtype) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def _moments(x: np.ndarray, y: np.ndarray):
+    """Least-squares moments (Z'Z, Z'y, y'y) of the design Z = [1, x], the
+    n x d matrix x with a leading column of ones, and the min and max of x
+    (inf and -inf if x is empty, NaN if it holds one).  Z is never formed:
+    x'x and x'y are bordered with n, Σx and Σy.  The arrays are read-only."""
+    n, d = x.shape
+    gram = np.empty((d + 1, d + 1))
+    gram[0, 0] = n
+    gram[0, 1:] = gram[1:, 0] = [c.sum() for c in x.T]
+    gram[1:, 1:] = x.T @ x
+    zty = np.concatenate(([y.sum()], x.T @ y))
+    for a in (gram, zty):
+        a.setflags(write=False)
+    x_range = float(x.min(initial=np.inf)), float(x.max(initial=-np.inf))
+    return gram, zty, float(y @ y), *x_range
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """n records of d covariates plus one partially observed response.
 
@@ -83,7 +101,7 @@ class Dataset:
     response must lie in the universe [a, b].  A read-only input of the right
     dtype that owns its memory (another Dataset's) is shared; any other is
     copied and frozen.  A masked response is always copied once, to write the
-    sentinel.
+    sentinel.  Equality and hashing are by identity.
     """
 
     covariates: np.ndarray
@@ -122,9 +140,13 @@ class Dataset:
     def d(self) -> int:
         return self.covariates.shape[1]
 
-    @property
-    def observed_response(self) -> np.ndarray:
-        return np.compress(~self.mask, self.response)
+    @cached_property
+    def complete_cases(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+        """(Z'Z, Z'y, y'y, x_min, x_max) of the records with an observed
+        response (see ``_moments``), built on first read; no row is kept."""
+        obs = ~self.mask
+        x, y = (np.compress(obs, a, axis=0) for a in (self.covariates, self.response))
+        return _moments(x, y)
 
 
 def n_mis(d: Dataset) -> int:

@@ -46,20 +46,12 @@ def fit_imputation_model(
     design raises DegenerateDesignError; a private fit takes any number of
     complete cases, zero included.
     """
-    y = d.observed_response
-    x = np.compress(~d.mask, d.covariates, axis=0)
     if privacy_epsilon is None:
-        fit = ols_fit(x, y)
+        fit = ols_fit(d)
     else:
         if rng is None:
             raise ValueError("a RandomSource is required for a private fit")
-        fit = functional_mechanism_ols(
-            x,
-            y,
-            privacy_epsilon,
-            rng,
-            response_bounds=d.universe.response_bounds,
-        )
+        fit = functional_mechanism_ols(d, privacy_epsilon, rng)
     return ImputationModel(fit=fit, stochastic=stochastic)
 
 

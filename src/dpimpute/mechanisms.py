@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_data import COVARIATE_BOUNDS
+from .core_data import COVARIATE_BOUNDS, Dataset
 
 # Sensitivity of the expanded squared-error objective under replace-one
 # neighbors, all attributes mapped into [-1,1]: per tuple the p degree-1
@@ -93,12 +93,12 @@ def laplace_mechanism(
     return value + laplace_sample(sensitivity / epsilon, rng)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OlsFit:
     """Fitted coefficients with privacy provenance.
 
     ``beta`` = (β₀, β₁, …, β_d) has length d+1, the constant term first.
-    ``sigma2_hat`` is unusable (0) for private fits.
+    ``sigma2_hat`` is unusable (0) for private fits; ``==`` and hash use identity.
     """
 
     beta: np.ndarray
@@ -113,23 +113,10 @@ class OlsFit:
         return out
 
 
-def _moments(x: np.ndarray, y: np.ndarray):
-    """Least-squares moments (Z'Z, Z'y, y'y) of the design Z = [1, x], the
-    n x d matrix x with a leading column of ones; Z is never formed."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("x must be an n x d matrix")
-    sx = np.array([c.sum() for c in x.T])  # border with Z'1 = (n, Σx), 1'y = Σy
-    gram = np.block([[float(x.shape[0]), sx], [sx[:, None], x.T @ x]])
-    zty = np.concatenate(([y.sum()], x.T @ y))
-    return gram, zty, float(y @ y)
-
-
-def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
-    """Least squares via the normal equations (LAPACK partial-pivot LU solve)."""
-    gram, zty, yty = _moments(x, y)
-    n, p = len(x), gram.shape[0]
+def ols_fit(d: Dataset) -> OlsFit:
+    """Complete-case least squares via the normal equations (LAPACK LU solve)."""
+    gram, zty, yty, _, _ = d.complete_cases
+    n, p = int(gram[0, 0]), gram.shape[0]
     s = np.linalg.svd(gram, compute_uv=False)
     if s[-1] <= _GRAM_RTOL * s[0]:
         raise DegenerateDesignError(
@@ -169,14 +156,8 @@ def _perturbed_quadratic_min(
     return gamma, lam1, a
 
 
-def functional_mechanism_ols(
-    x: np.ndarray,
-    y: np.ndarray,
-    epsilon: float,
-    rng: RandomSource,
-    response_bounds: tuple[float, float] = (0.0, 1.0),
-) -> OlsFit:
-    """ε-DP OLS via coefficient perturbation of the squared-error objective.
+def functional_mechanism_ols(d: Dataset, epsilon: float, rng: RandomSource) -> OlsFit:
+    """ε-DP complete-case OLS via perturbing the squared-error objective.
 
     The moments are mapped into [-1,1] coordinates by one affine map,
     z' = z t = (1, 2x - 1) and y' = c y + o, before expansion; centring x
@@ -185,18 +166,12 @@ def functional_mechanism_ols(
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    a_lo, a_hi = response_bounds
-    if not a_lo < a_hi:
-        raise ValueError(f"bad response bounds [{a_lo}, {a_hi}]")
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    gram, zty, _ = _moments(x, y)
-    # Δ_FM needs data in range; NaN fails both checks
+    gram, zty, _, x_min, x_max = d.complete_cases
+    # Δ_FM needs data in range; the Dataset keeps y in [a, b], NaN fails here
     x_lo, x_hi = COVARIATE_BOUNDS
-    if x.size and not (x_lo <= x.min() and x.max() <= x_hi):
+    if not (x_lo <= x_min and x_max <= x_hi):
         raise ValueError("functional mechanism requires covariates in [0, 1]")
-    if y.size and not (a_lo <= y.min() and y.max() <= a_hi):
-        raise ValueError(f"functional mechanism requires y in [{a_lo}, {a_hi}]")
+    a_lo, a_hi = d.universe.response_bounds
     p = gram.shape[0]
     t = np.eye(p)
     t[0, 1:] = -1.0  # z' = (1, 2x - 1)

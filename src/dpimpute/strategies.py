@@ -37,11 +37,11 @@ class QueryResult:
 
 
 def available_case_mean(d: Dataset) -> float:
-    """Noise-free mean of the observed responses (the biased estimand)."""
-    obs = d.observed_response
-    if obs.size == 0:
+    """Noise-free mean Σy / n_obs of the observed responses (the biased estimand)."""
+    gram, zty, _, _, _ = d.complete_cases
+    if gram[0, 0] == 0:
         raise NoObservedResponsesError("no observed responses")
-    return float(obs.mean())
+    return float(zty[0] / gram[0, 0])
 
 
 def _release(

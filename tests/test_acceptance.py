@@ -12,9 +12,11 @@ import numpy as np
 import pytest
 
 from dpimpute import (
+    Dataset,
     PrivacyBudget,
     RandomSource,
     SimConfig,
+    Universe,
     available_case_mean,
     brute_force_imputed_sensitivity,
     extrapolation_tightness_witness,
@@ -165,8 +167,9 @@ def test_criterion_7_mechanism_statistics():
     rng = RandomSource(124)
     x = rng.uniform(size=(2000, 2))
     y = np.clip(x @ [0.5, 0.5] + rng.normal(0, math.sqrt(0.1), 2000), 0, 1)
-    fm = functional_mechanism_ols(x, y, 1e12, rng.split(0))
-    exact = ols_fit(x, y)
+    d = Dataset(x, y, np.zeros(2000, dtype=bool), Universe.unit())
+    fm = functional_mechanism_ols(d, 1e12, rng.split(0))
+    exact = ols_fit(d)
     recov = float(np.abs(fm.beta - exact.beta).max())
     ok &= recov < 1e-6
 
@@ -179,9 +182,10 @@ def test_criterion_7_mechanism_statistics():
         data_rng = RandomSource(9000 + s)
         xs = data_rng.uniform(size=(2000, 2))
         ys = np.clip(xs @ [0.5, 0.5] + data_rng.normal(0, math.sqrt(0.1), 2000), 0, 1)
-        beta_ols = ols_fit(xs, ys).beta
+        ds = Dataset(xs, ys, np.zeros(2000, dtype=bool), Universe.unit())
+        beta_ols = ols_fit(ds).beta
         for e in eps_grid:
-            b = functional_mechanism_ols(xs, ys, e, RandomSource(9000 + s, (1,))).beta
+            b = functional_mechanism_ols(ds, e, RandomSource(9000 + s, (1,))).beta
             msd[e] += float(((b - beta_ols) ** 2).sum()) / n_seeds
     mono = all(msd[a] >= msd[b] for a, b in zip(eps_grid, eps_grid[1:]))
     ok &= mono

@@ -240,7 +240,7 @@ class TestImpute:
         after = read_dataset_csv(out, (0.0, 1.0))
         assert after.d == 0 and not after.mask.any()
         np.testing.assert_array_equal(after.response[~before.mask],
-                                      before.observed_response)
+                                      before.response[~before.mask])
         assert 0.0 <= after.response[1] <= 1.0
         if not flags:  # OLS on a constant: the mean of the observed responses
             assert after.response[1] == pytest.approx(0.4)

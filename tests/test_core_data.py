@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,38 @@ class TestDataset:
         model = fit_imputation_model(masked, privacy_epsilon=None)
         assert masked.covariates is d.covariates
         assert impute(masked, model).covariates is d.covariates
+
+
+class TestCompleteCases:
+    def test_built_once_and_read_only(self, monkeypatch):
+        built = []
+        moments = core_data._moments
+        monkeypatch.setattr(
+            core_data, "_moments", lambda x, y: built.append(1) or moments(x, y)
+        )
+        d = make_dataset([[0.1], [0.2], [0.3]], [0.3, 0.4, 0.5], [False, True, False])
+        stats = d.complete_cases
+        assert d.complete_cases is stats and len(built) == 1
+        gram, zty, yty, x_min, x_max = stats
+        assert (gram[0, 0], zty[0], x_min, x_max) == (2, 0.8, 0.1, 0.3)
+        assert yty == pytest.approx(0.34)
+        for a in (gram, zty):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_keeps_no_record_array(self):
+        # the selected 2e5 x 2 covariates alone are 3.2 MB; the moments are bytes
+        rng = RandomSource(3)
+        x = rng.uniform(size=(200_000, 2))
+        d = Dataset(x, rng.uniform(size=200_000), x[:, 0] < 0.5, Universe.unit())
+        del x
+        tracemalloc.start()
+        try:
+            d.complete_cases
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained < 0.1e6
 
 
 class TestHamming:
@@ -229,7 +262,8 @@ class TestValidate:
         x = np.zeros((len(records), 1))
         u = Universe((-1.0, 2.0))
         if all(-1.0 <= v <= 2.0 for v in observed):
-            assert Dataset(x, y, mask, u).observed_response.tolist() == observed
+            d = Dataset(x, y, mask, u)
+            assert d.response[~d.mask].tolist() == observed
         else:
             with pytest.raises(ValueError, match="outside the universe"):
                 Dataset(x, y, mask, u)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dpimpute import (
+    Dataset,
     DegenerateDesignError,
     RandomSource,
+    Universe,
     functional_mechanism_ols,
     functional_mechanism_sensitivity,
     laplace_mechanism,
@@ -14,11 +16,13 @@ from dpimpute import (
     ols_fit,
 )
 from dpimpute import mechanisms
-from dpimpute.mechanisms import (
-    DEFAULT_COEF_BOUND,
-    _moments,
-    _perturbed_quadratic_min,
-)
+from dpimpute.core_data import _moments
+from dpimpute.mechanisms import DEFAULT_COEF_BOUND, _perturbed_quadratic_min
+
+
+def complete(x, y, bounds=(0.0, 1.0)):
+    """The fully observed Dataset of covariates x and responses y in ``bounds``."""
+    return Dataset(x, y, np.zeros(len(y), dtype=bool), Universe(bounds))
 
 
 class TestRandomSource:
@@ -127,7 +131,7 @@ class TestOlsFit:
         rng = RandomSource(10)
         x = rng.uniform(size=(50, 2))
         y = x @ [0.5, 0.5]
-        fit = ols_fit(x, y)
+        fit = ols_fit(complete(x, y))
         np.testing.assert_allclose(fit.beta, [0.0, 0.5, 0.5], atol=1e-10)
         assert abs(fit.sigma2_hat) < 1e-12
         # σ̂² from the moments cancels y'y against β'Z'y; it stays at rounding level
@@ -135,7 +139,7 @@ class TestOlsFit:
         assert not fit.private and fit.epsilon_spent == 0.0
 
     def test_two_point_line(self):
-        fit = ols_fit(np.array([[0.0], [1.0]]), np.array([0.0, 1.0]))
+        fit = ols_fit(complete(np.array([[0.0], [1.0]]), np.array([0.0, 1.0])))
         np.testing.assert_allclose(fit.beta, [0.0, 1.0], atol=1e-14)
 
     def test_matches_high_precision_oracle(self):
@@ -144,7 +148,7 @@ class TestOlsFit:
         rng = RandomSource(77)
         x = rng.uniform(size=(200, 2))
         y = x @ [0.3, 0.6] + rng.normal(0, 0.1, 200)
-        fit = ols_fit(x, y)
+        fit = ols_fit(complete(x, y, (-2.0, 3.0)))
         mp.mp.dps = 50
         xm = mp.matrix([[1.0, *row] for row in x.tolist()])
         ym = mp.matrix([[v] for v in y])
@@ -156,7 +160,7 @@ class TestOlsFit:
         rng = RandomSource(8)
         x = rng.uniform(size=(100, 2))
         y = x @ [0.2, 0.9] + rng.normal(0, 0.2, 100)
-        fit = ols_fit(x, y)
+        fit = ols_fit(complete(x, y, (-2.0, 3.0)))
         xd = np.column_stack([np.ones(100), x])
         resid = y - xd @ fit.beta
         assert np.abs(xd.T @ resid).max() < 1e-8
@@ -165,7 +169,7 @@ class TestOlsFit:
         rng = RandomSource(9)
         x = rng.uniform(size=(300, 2))
         y = x @ [0.4, 0.3] + rng.normal(0, 0.2, 300)
-        fit = ols_fit(x, y)
+        fit = ols_fit(complete(x, y, (-2.0, 3.0)))
         z = np.column_stack([np.ones(300), x])
         resid = y - z @ fit.beta
         expected = float(resid @ resid) / (300 - z.shape[1])
@@ -174,13 +178,13 @@ class TestOlsFit:
     def test_singular_design_rejected(self):
         x = np.ones((10, 2))  # perfectly collinear columns
         with pytest.raises(DegenerateDesignError):
-            ols_fit(x, np.ones(10))
+            ols_fit(complete(x, np.ones(10)))
 
     def test_too_few_rows_rejected(self):
         # the Gram check is the only size refusal; its message names the sizes
         for n in (0, 1):
             with pytest.raises(DegenerateDesignError, match=f"{n} rows and 3 columns"):
-                ols_fit(np.ones((n, 2)), np.ones(n))
+                ols_fit(complete(np.ones((n, 2)), np.ones(n)))
 
 
 class TestMoments:
@@ -190,7 +194,7 @@ class TestMoments:
         rng = RandomSource(n + d)
         x = rng.uniform(size=(n, d))
         y = rng.uniform(size=n)
-        gram, zty, yty = _moments(x, y)
+        gram, zty, yty, x_min, x_max = _moments(x, y)
         z = np.column_stack([np.ones(n), x])
         p = d + 1
         assert gram.shape == (p, p) and zty.shape == (p,)
@@ -199,15 +203,18 @@ class TestMoments:
         np.testing.assert_allclose(yty, y @ y, rtol=1e-12, atol=0)
         if n == 0:
             assert not gram.any() and not zty.any() and yty == 0.0
+            assert (x_min, x_max) == (np.inf, -np.inf)
+        else:
+            assert (x_min, x_max) == (x.min(), x.max())
 
     def test_fits_allocate_no_design(self):
         # 2e5 x 2 covariates: a design copy or a residual vector is >= 1.6 MB
         rng = RandomSource(4)
-        x = rng.uniform(size=(200_000, 2))
-        y = rng.uniform(size=200_000)
+        d = complete(rng.uniform(size=(200_000, 2)), rng.uniform(size=200_000))
+        d.complete_cases  # the one complete-case selection, made before the fits
         fits = [
-            lambda: ols_fit(x, y),
-            lambda: functional_mechanism_ols(x, y, 1.0, RandomSource(0)),
+            lambda: ols_fit(d),
+            lambda: functional_mechanism_ols(d, 1.0, RandomSource(0)),
         ]
         for fit in fits:
             tracemalloc.start()
@@ -228,8 +235,9 @@ class TestFunctionalMechanism:
         rng = RandomSource(21)
         x = rng.uniform(size=(500, 2))
         y = np.clip(x @ [0.5, 0.5] + rng.normal(0, 0.1, 500), 0, 1)
-        fm = functional_mechanism_ols(x, y, 1e12, rng.split(0))
-        ols = ols_fit(x, y)
+        d = complete(x, y)
+        fm = functional_mechanism_ols(d, 1e12, rng.split(0))
+        ols = ols_fit(d)
         np.testing.assert_allclose(fm.beta, ols.beta, atol=1e-6)
 
     def test_empty_design_gives_bounded_fit(self):
@@ -237,7 +245,7 @@ class TestFunctionalMechanism:
         # the coefficient box; ε-DP needs no size check
         x, y = np.empty((0, 2)), np.empty(0)
         # with [0, 1] responses, β = (tγ + e₀) / 2
-        fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0))
+        fit = functional_mechanism_ols(complete(x, y), 1.0, RandomSource(0))
         assert np.isfinite(fit.beta).all()
         assert np.abs(fit.beta[1:]).max() <= DEFAULT_COEF_BOUND
         assert abs(fit.beta[0]) <= (3 * DEFAULT_COEF_BOUND + 1) / 2
@@ -252,31 +260,32 @@ class TestFunctionalMechanism:
         bad_x = x.copy()
         bad_x[2, 1] = np.nan
         with pytest.raises(ValueError, match="covariates"):
-            functional_mechanism_ols(bad_x, y, 1.0, RandomSource(0))
+            functional_mechanism_ols(complete(bad_x, y), 1.0, RandomSource(0))
+        # a response outside [a, b] never reaches the mechanism: the
+        # Dataset it would read refuses it
         for value in (50.0, -0.1, np.nan):
             bad_y = y.copy()
             bad_y[3] = value
-            with pytest.raises(ValueError, match=r"y in \[0.0, 1.0\]"):
-                functional_mechanism_ols(x, bad_y, 1.0, RandomSource(0))
-        with pytest.raises(ValueError, match=r"y in \[2.0, 3.0\]"):
-            functional_mechanism_ols(x, y, 1.0, RandomSource(0),
-                                     response_bounds=(2.0, 3.0))
+            with pytest.raises(ValueError, match=r"outside \[0.0, 1.0\]"):
+                complete(x, bad_y)
+        with pytest.raises(ValueError, match=r"outside \[2.0, 3.0\]"):
+            complete(x, y, (2.0, 3.0))
 
     def test_rejects_bad_epsilon_and_covariates(self):
         x = np.full((5, 1), 0.5)
         y = np.full(5, 0.5)
         for epsilon in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="epsilon"):
-                functional_mechanism_ols(x, y, epsilon, RandomSource(0))
+                functional_mechanism_ols(complete(x, y), epsilon, RandomSource(0))
         with pytest.raises(ValueError):
-            functional_mechanism_ols(x + 2.0, y, 1.0, RandomSource(0))
+            functional_mechanism_ols(complete(x + 2.0, y), 1.0, RandomSource(0))
 
     def test_deterministic_for_fixed_seed(self):
         rng_data = RandomSource(30)
         x = rng_data.uniform(size=(200, 2))
         y = np.clip(x @ [0.5, 0.5], 0, 1)
-        a = functional_mechanism_ols(x, y, 1.0, RandomSource(31))
-        b = functional_mechanism_ols(x, y, 1.0, RandomSource(31))
+        a = functional_mechanism_ols(complete(x, y), 1.0, RandomSource(31))
+        b = functional_mechanism_ols(complete(x, y), 1.0, RandomSource(31))
         np.testing.assert_array_equal(a.beta, b.beta)
         assert a.private and a.epsilon_spent == 1.0 and a.sigma2_hat == 0.0
 
@@ -313,16 +322,15 @@ class TestFunctionalMechanism:
         self._stub_noise(monkeypatch, 0.0, -1e6, -1e6)
         x = RandomSource(42).uniform(size=(50, 2))
         y = x @ [0.5, 0.5]
-        fit = functional_mechanism_ols(
-            x, y, 1.0, RandomSource(0), response_bounds=(-1.0, 3.0)
-        )
+        d = complete(x, y, (-1.0, 3.0))
+        fit = functional_mechanism_ols(d, 1.0, RandomSource(0))
         np.testing.assert_array_equal(fit.beta, [1.0, 0.0, 0.0])
 
     def test_indefinite_noise_gives_bounded_fit(self, monkeypatch):
         self._stub_noise(monkeypatch, 1e6, -1e6, 0.0)
         x = RandomSource(43).uniform(size=(50, 2))
         y = x @ [0.5, 0.5]
-        fit = functional_mechanism_ols(x, y, 1.0, RandomSource(0))
+        fit = functional_mechanism_ols(complete(x, y), 1.0, RandomSource(0))
         assert np.isfinite(fit.beta).all()
         gamma, _, a = _perturbed_quadratic_min(
             x.T @ x, x.T @ y, 1.0, RandomSource(0)
@@ -341,8 +349,9 @@ class TestFunctionalMechanism:
             rng = RandomSource(1000 + s)
             x = rng.uniform(size=(10_000, 2))
             y = np.clip(x @ [0.5, 0.5] + rng.normal(0, np.sqrt(0.1), 10_000), 0, 1)
-            fm_betas.append(functional_mechanism_ols(x, y, 0.5, rng.split(0)).beta)
-            ols_betas.append(ols_fit(x, y).beta)
+            d = complete(x, y)
+            fm_betas.append(functional_mechanism_ols(d, 0.5, rng.split(0)).beta)
+            ols_betas.append(ols_fit(d).beta)
         np.testing.assert_allclose(
             np.mean(fm_betas, axis=0), np.mean(ols_betas, axis=0), atol=0.05
         )

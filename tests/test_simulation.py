@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dpimpute import core_data, simulation
 from dpimpute import (
     RandomSource,
     SimConfig,
@@ -173,6 +174,25 @@ class TestSweep:
     def test_negative_workers_refused(self):
         with pytest.raises(ValueError, match="workers must be >= 0"):
             run_sweep(self.small_cfg(), workers=-1)
+
+
+class TestOneCompleteCaseRead:
+    def test_run_selects_and_sums_complete_cases_once(self, monkeypatch):
+        # the three strategies of a run share one statistic of its Dataset
+        calls = {"moments": 0, "compress": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        moments = counted("moments", core_data._moments)
+        monkeypatch.setattr(core_data, "_moments", moments)
+        monkeypatch.setattr(np, "compress", counted("compress", np.compress))
+        out = simulation._execute_run(SimConfig(n=400, runs=1, seed=42), 0)
+        assert [r.strategy for r in out] == list(SimConfig().strategies)
+        assert calls == {"moments": 1, "compress": 2}  # covariates and responses
 
 
 class TestFunctionalMechanismNeverFails:

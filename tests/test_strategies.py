@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,6 +77,40 @@ class TestAvailableCase:
         res = run_available_case(d, PrivacyBudget(0.7), RandomSource(1))
         assert res.epsilon_spent_total == 0.7
         assert math.fsum(e for _, e in res.ledger) == 0.7
+
+
+@st.composite
+def masked_datasets(draw):
+    """A Dataset of d in {0, 1, 3} covariates with at least one observed
+    response: a random mask, or exactly one observed record."""
+    n = draw(st.integers(1, 3000))
+    d = draw(st.sampled_from([0, 1, 3]))
+    rng = RandomSource(draw(st.integers(0, 2**32)))
+    x = rng.uniform(size=(n, d))
+    y = rng.uniform(-5.0, 5.0, size=n)
+    if draw(st.booleans()):
+        mask = rng.uniform(size=n) < draw(st.floats(0.0, 1.0))
+    else:
+        mask = np.ones(n, dtype=bool)
+    mask[draw(st.integers(0, n - 1))] = False
+    return Dataset(x, y, mask, Universe((-5.0, 5.0))), y[~mask]
+
+
+class TestAvailableCaseMean:
+    @settings(max_examples=300, deadline=None)
+    @given(masked_datasets())
+    def test_equals_mean_of_observed_bit_for_bit(self, case):
+        d, y_obs = case
+        assert available_case_mean(d) == float(y_obs.mean())
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    def test_all_missing_refused_without_warning(self, d):
+        x = np.full((4, d), 0.5)
+        data = Dataset(x, np.zeros(4), np.ones(4, bool), Universe.unit())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoObservedResponsesError):
+                available_case_mean(data)
 
 
 class TestImputeThenQuery:
