@@ -210,9 +210,11 @@ class TestMoments:
     def test_fits_allocate_no_design(self):
         # 2e5 x 2 covariates: a design copy or a residual vector is >= 1.6 MB
         rng = RandomSource(4)
-        d = complete(rng.uniform(size=(200_000, 2)), rng.uniform(size=200_000))
+        x, y = rng.uniform(size=(200_000, 2)), rng.uniform(size=200_000)
+        d = complete(x, y)
         d.complete_cases  # the one complete-case selection, made before the fits
         fits = [
+            lambda: _moments(x, y),
             lambda: ols_fit(d),
             lambda: functional_mechanism_ols(d, 1.0, RandomSource(0)),
         ]
