@@ -18,6 +18,7 @@ from .core_data import (
     Dataset,
     PrivacyBudget,
     Universe,
+    _read_records,
     is_finite_real,
     read_dataset_csv,
     write_dataset_csv,
@@ -45,17 +46,24 @@ _STRATEGY_FLAG = {
 }
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+def _atomic_write(outputs) -> None:
+    """Write each (path, text or write(tmp) function) to a temp file in the
+    path's directory; rename the temps only once all are written."""
+    tmps = []
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        for path, content in outputs:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+            tmps.append(tmp)
+            os.close(fd)
+            if callable(content):
+                content(tmp)
+            else:
+                Path(tmp).write_text(content, encoding="utf-8", newline="")
+        for tmp, (path, _) in zip(tmps, outputs):
+            os.replace(tmp, path)
+    finally:  # the temps left are those of a failed call
+        for tmp in filter(os.path.exists, tmps):
             os.unlink(tmp)
-        raise
 
 
 def _fail(code: int, message: str) -> int:
@@ -96,16 +104,13 @@ def cmd_simulate(args) -> int:
     if not records:
         return _fail(EXIT_RUNTIME, "all runs failed")
     summary = simulation.summarize_runs(cfg, records, failures)
+    outputs = [(output_dir / "runs.csv", simulation.runs_csv_text(records)),
+               (output_dir / "summary.csv", simulation.summary_csv_text(summary))]
+    if emit_svg:
+        outputs.append((output_dir / "boxplot.svg", svgplot.render_boxplot(summary)))
     try:
         output_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write_text(output_dir / "runs.csv", simulation.runs_csv_text(records))
-        _atomic_write_text(
-            output_dir / "summary.csv", simulation.summary_csv_text(summary)
-        )
-        if emit_svg:
-            _atomic_write_text(
-                output_dir / "boxplot.svg", svgplot.render_boxplot(summary)
-            )
+        _atomic_write(outputs)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write outputs: {exc}")
     for f in failures:
@@ -176,7 +181,7 @@ def cmd_impute(args) -> int:
         return _fail(EXIT_BAD_CONFIG, "--privacy-epsilon must be finite and "
                      f"positive, got {args.privacy_epsilon}")
     try:
-        data = read_dataset_csv(args.data, (args.lo, args.hi))
+        data, records = _read_records(args.data, (args.lo, args.hi))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read dataset: {exc}")
     except ValueError as exc:
@@ -200,13 +205,14 @@ def cmd_impute(args) -> int:
         completed = impute(data, model, rng.split(1))
     except (ValueError, RuntimeError) as exc:
         return _fail(EXIT_RUNTIME, str(exc))
+    outputs = [(Path(args.out), lambda tmp: write_dataset_csv(completed, tmp, records))]
+    if args.save_model:  # the format _load_model reads
+        fit = model.fit
+        text = json.dumps({"beta": fit.beta.tolist(), "private": fit.private,
+                           "epsilon_spent": fit.epsilon_spent})
+        outputs.append((Path(args.save_model), text + "\n"))
     try:
-        write_dataset_csv(completed, args.out)
-        if args.save_model:  # the format _load_model reads
-            fit = model.fit
-            text = json.dumps({"beta": fit.beta.tolist(), "private": fit.private,
-                               "epsilon_spent": fit.epsilon_spent})
-            _atomic_write_text(Path(args.save_model), text + "\n")
+        _atomic_write(outputs)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write output: {exc}")
     return EXIT_OK

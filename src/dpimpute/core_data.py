@@ -223,15 +223,23 @@ class PrivacyBudget:
 # --- CSV serialization: header x1,...,xd,y,missing; masked rows have empty y ---
 
 
-def write_dataset_csv(d: Dataset, path) -> None:
+def write_dataset_csv(d: Dataset, path, records=None) -> None:
+    """Write ``d`` with every value in ``repr``.  Given ``records``, the
+    record lines read for the dataset ``d`` completes, copy each observed
+    line, and write a masked one as its x text, ``repr`` of the fill and ",0"."""
     header = [f"x{j + 1}" for j in range(d.d)] + ["y", "missing"]
-    rows = zip(d.covariates.tolist(), d.response.tolist(), d.mask.tolist())
+    if records is None:
+        rows = zip(d.covariates.tolist(), d.response.tolist(), d.mask.tolist())
+        lines = (",".join([*map(repr, x), "" if m else repr(y), "1" if m else "0"])
+                 for x, y, m in rows)
+    elif len(records) != d.n or d.mask.any():
+        raise ValueError("records must be the n lines of a dataset d completes")
+    else:  # a masked record keeps its x text, up to the comma before y
+        lines = (r if r[-1] == "0" else r[: r.rfind(",", 0, -2) + 1] + repr(y) + ",0"
+                 for r, y in zip(records, d.response.tolist()))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(
-            ",".join([*map(repr, x), "" if m else repr(y), "1" if m else "0"]) + "\n"
-            for x, y, m in rows
-        )
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _raise_first_bad_line(lines, d: int) -> None:
@@ -254,6 +262,11 @@ def _raise_first_bad_line(lines, d: int) -> None:
 def read_dataset_csv(path, response_bounds: tuple[float, float]) -> Dataset:
     """Read a dataset whose header fixes d; every covariate must lie in
     COVARIATE_BOUNDS and every observed response in ``response_bounds``."""
+    return _read_records(path, response_bounds)[0]
+
+
+def _read_records(path, response_bounds) -> tuple[Dataset, list[str]]:
+    """``read_dataset_csv``, plus the non-blank record lines it parsed."""
     with open(path, encoding="utf-8") as fh:  # \n, \r\n and \r each end a line
         lines = fh.read().split("\n")
     # None for an empty file, [] for a blank first line
@@ -287,4 +300,4 @@ def read_dataset_csv(path, response_bounds: tuple[float, float]) -> Dataset:
         raise _outside_universe(zip(expected, x.T), lo, hi)
     for a in (x, y, m):  # owned and read-only, so Dataset shares them
         a.setflags(write=False)
-    return Dataset(x, y, m, universe)
+    return Dataset(x, y, m, universe), body

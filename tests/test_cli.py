@@ -9,6 +9,7 @@ from dpimpute import (
     RandomSource,
     Universe,
     fit_imputation_model,
+    impute,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -252,6 +253,42 @@ class TestImpute:
             ["impute", "--data", str(data), "--out", str(out),
              "--privacy-epsilon", "5.0", "--seed", "1"]
         ) == 0
+
+
+    def test_failed_model_write_leaves_no_output(self, tmp_path, capsys):
+        # both outputs go to temp files, renamed only once both are written
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        kept = tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        for out in (tmp_path / "new.csv", kept):
+            assert main(["impute", "--data", str(data), "--out", str(out),
+                         "--save-model", str(tmp_path / "no-dir" / "m.json")]) == 2
+            assert "cannot write output" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "kept.csv"]
+        assert kept.read_text() == "old\n"
+
+    @pytest.mark.parametrize("text, expected", [
+        ("x1,y,missing\r\n0.50,0.5,0\r\n\r\n 0.1,0.30,0\r\n0.7,abc,1\r\n"
+         "2e-1,,1\r\n\r\n0.9,2e-1 ,0\r\n",
+         "x1,y,missing\n0.50,0.5,0\n 0.1,0.30,0\n0.7,{},0\n2e-1,{},0\n0.9,2e-1 ,0\n"),
+        ("y,missing\r\n0.50,0\r\n,1\r\n\r\nabc,1\r\n 0.1,0\r\n2e-1,0\r\n",
+         "y,missing\n0.50,0\n{},0\n{},0\n 0.1,0\n2e-1,0\n"),
+    ], ids=["d1", "d0"])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_copies_record_text(self, tmp_path, text, expected, in_place):
+        # an observed record keeps its spelling; a masked one keeps its x
+        # text and gets repr of its fill; blank lines and \r are dropped
+        data = tmp_path / "data.csv"
+        data.write_bytes(text.encode())
+        read = read_dataset_csv(data, (0.0, 1.0))
+        completed = impute(read, fit_imputation_model(read, None), None)
+        out = data if in_place else tmp_path / "completed.csv"
+        assert main(["impute", "--data", str(data), "--out", str(out)]) == 0
+        fills = completed.response[read.mask].tolist()
+        assert out.read_bytes() == expected.format(*map(repr, fills)).encode()
+        back = read_dataset_csv(out, (0.0, 1.0))
+        assert back.covariates.tobytes() == completed.covariates.tobytes()
+        assert back.response.tobytes() == completed.response.tobytes()
 
 
 class TestCovariateCount:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import tracemalloc
 
@@ -14,12 +15,15 @@ from dpimpute import (
     PrivacyBudget,
     RandomSource,
     Universe,
+    fit_imputation_model,
     hamming_distance,
+    impute,
     n_mis,
     read_dataset_csv,
     write_dataset_csv,
 )
 from dpimpute import core_data
+from dpimpute.cli import _load_model, main
 from dpimpute.core_data import COVARIATE_BOUNDS, _outside_universe
 
 
@@ -572,3 +576,83 @@ class TestReaderEdges:
         assert shared == [True, True, True]  # covariates, mask, response
         assert not d.covariates.flags.writeable
         assert d.covariates.base is None
+
+
+def write_with_rows(d, path):
+    """The per-row repr writer that impute's record copy replaced, kept as
+    the oracle for the bytes of every file it writes."""
+    header = [f"x{j + 1}" for j in range(d.d)] + ["y", "missing"]
+    rows = zip(d.covariates.tolist(), d.response.tolist(), d.mask.tolist())
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            ",".join([*map(repr, x), "" if m else repr(y), "1" if m else "0"]) + "\n"
+            for x, y, m in rows
+        )
+
+
+def oracle_dataset(d, missing, n=60):
+    """Uniform draws with the specials 5e-324, -0.0, 1/3 and 1.0 in front;
+    no, some or all responses missing."""
+    rng = np.random.default_rng([d, ["none", "some", "all"].index(missing)])
+    x, y = rng.uniform(size=(n, d)), rng.uniform(size=n)
+    x.flat[:4] = [5e-324, -0.0, 1 / 3, 1.0][: x.size]
+    y[:4] = [1.0, -0.0, 5e-324, 1 / 3]
+    mask = {"none": np.zeros(n, bool), "some": rng.uniform(size=n) < 0.4,
+            "all": np.ones(n, bool)}[missing]
+    return Dataset(x, y, mask, Universe.unit())
+
+
+class TestWriterOracle:
+    """Every file the per-row writer writes comes back byte for byte, from
+    ``write_dataset_csv`` itself and from ``impute``'s record copy."""
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @pytest.mark.parametrize("missing", ["none", "some", "all"])
+    def test_writer_matches_rows(self, tmp_path, d, missing):
+        data = oracle_dataset(d, missing)
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        write_dataset_csv(data, new)
+        write_with_rows(data, old)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("d", [0, 1, 3])
+    @pytest.mark.parametrize("missing", ["none", "some", "all"])
+    @pytest.mark.parametrize("mode", ["ols", "private", "model", "stochastic"])
+    def test_impute_matches_rows_of_completed(self, tmp_path, d, missing, mode):
+        data, out, ref = (tmp_path / f for f in ("data.csv", "out.csv", "ref.csv"))
+        model = tmp_path / "model.json"
+        write_with_rows(oracle_dataset(d, missing), data)
+        beta = [0.2] + [0.6 / max(d, 1)] * d
+        model.write_text(json.dumps({"beta": beta, "private": False,
+                                     "epsilon_spent": 0.0}))
+        flags = {"ols": [], "private": ["--privacy-epsilon", "1"],
+                 "model": ["--model", str(model)], "stochastic": ["--stochastic"]}[mode]
+        code = main(["impute", "--data", str(data), "--out", str(out), "--seed", "5",
+                     *flags])
+        read, rng = read_dataset_csv(data, (0.0, 1.0)), RandomSource(5)
+        try:  # cmd_impute's pipeline
+            fitted = _load_model(str(model), read) if mode == "model" else (
+                fit_imputation_model(read, 1.0 if mode == "private" else None,
+                                     rng.split(0), stochastic=mode == "stochastic"))
+            completed = impute(read, fitted, rng.split(1))
+        except ValueError:  # an OLS fit on no complete case
+            assert (code, missing, mode in ("ols", "stochastic")) == (3, "all", True)
+            assert not out.exists()
+            return
+        assert code == 0
+        write_with_rows(completed, ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_records_must_be_those_of_a_completed_dataset(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_with_rows(oracle_dataset(1, "some"), path)
+        data, records = core_data._read_records(path, (0.0, 1.0))
+        completed = impute(data, fit_imputation_model(data, None), None)
+        with pytest.raises(ValueError, match="records must be"):
+            write_dataset_csv(data, path, records)  # still has missing responses
+        with pytest.raises(ValueError, match="records must be"):
+            write_dataset_csv(completed, path, records[1:])
+        write_dataset_csv(completed, path, records)
+        assert outcome(read_dataset_csv, path, (0.0, 1.0)) == outcome(
+            lambda *a: completed, path, None)
