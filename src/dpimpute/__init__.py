@@ -16,6 +16,7 @@ from .imputation import (
     check_imputer_contract,
     fit_imputation_model,
     impute,
+    imputed_mean,
 )
 from .mechanisms import (
     DegenerateDesignError,

@@ -61,6 +61,8 @@ def _atomic_write(outputs) -> None:
                 Path(tmp).write_text(content, encoding="utf-8", newline="")
         for tmp, (path, _) in zip(tmps, outputs):
             os.replace(tmp, path)
+    except OSError as exc:  # name the target, not its temp file
+        raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from None
     finally:  # the temps left are those of a failed call
         for tmp in filter(os.path.exists, tmps):
             os.unlink(tmp)

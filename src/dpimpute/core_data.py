@@ -148,6 +148,13 @@ class Dataset:
         x, y = (np.compress(obs, a, axis=0) for a in (self.covariates, self.response))
         return _moments(x, y)
 
+    @cached_property
+    def missing_covariates(self) -> np.ndarray:
+        """The covariate rows of the records with a missing response, read-only."""
+        x = np.compress(self.mask, self.covariates, axis=0)
+        x.setflags(write=False)
+        return x
+
 
 def n_mis(d: Dataset) -> int:
     """Number of records with a missing response."""

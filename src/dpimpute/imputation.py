@@ -55,6 +55,21 @@ def fit_imputation_model(
     return ImputationModel(fit=fit, stochastic=stochastic)
 
 
+def _check_coefficients(d: Dataset, model: ImputationModel) -> None:
+    if (k := len(model.fit.beta)) != d.d + 1:  # β₀ first
+        raise ValueError(f"model has {k} coefficients, dataset needs {d.d + 1}")
+
+
+def imputed_mean(d: Dataset, model: ImputationModel) -> float:
+    """``impute(d, model).response.mean()``, predicting only the missing rows."""
+    _check_coefficients(d, model)
+    if model.stochastic:
+        raise ValueError("imputed_mean needs a deterministic model")
+    fill = model.fit.predict(d.missing_covariates)
+    np.clip(fill, *d.universe.response_bounds, out=fill)
+    return float((d.complete_cases[1][0] + fill.sum()) / d.n)
+
+
 def impute(
     d: Dataset, model: ImputationModel, rng: RandomSource | None = None
 ) -> Dataset:
@@ -65,10 +80,7 @@ def impute(
     n normals drawn from ``rng``, so its fill does not depend on which other
     records are missing or on processing order.
     """
-    if len(model.fit.beta) != d.d + 1:  # β₀ first
-        raise ValueError(
-            f"model has {len(model.fit.beta)} coefficients, dataset needs {d.d + 1}"
-        )
+    _check_coefficients(d, model)
     if not d.mask.any():
         return d
     fill = model.fit.predict(d.covariates)

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .core_data import Dataset, Universe, n_mis
-from .imputation import fit_imputation_model, impute
+from .imputation import fit_imputation_model, imputed_mean
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -98,7 +98,6 @@ class BruteForceResult:
     witness: tuple[Dataset, Dataset]
     violations: tuple[BoundViolation, ...]
     base_sensitivity: float
-    n_evaluations: int
 
 
 def _spread_covariates(n: int) -> np.ndarray:
@@ -111,7 +110,7 @@ def _spread_covariates(n: int) -> np.ndarray:
 def _imputed_mean(d: Dataset) -> float:
     """The mean of d completed as impute-then-query does it: a plain OLS fit
     on the complete cases, then clipped prediction."""
-    return float(impute(d, fit_imputation_model(d, None)).response.mean())
+    return imputed_mean(d, fit_imputation_model(d, None))
 
 
 def brute_force_imputed_sensitivity(
@@ -156,7 +155,6 @@ def brute_force_imputed_sensitivity(
     max_gap = -1.0
     witness = None
     violations: list[BoundViolation] = []
-    n_eval = len(scored)
     for combo, (d, qd) in scored.items():
         if qd is None:
             continue
@@ -169,7 +167,6 @@ def brute_force_imputed_sensitivity(
                 if qn is None:
                     continue
                 gap = abs(qd - qn)
-                n_eval += 1
                 if gap > max_gap:
                     max_gap = gap
                     witness = (d, neighbor)
@@ -182,7 +179,6 @@ def brute_force_imputed_sensitivity(
         witness=witness,
         violations=tuple(violations),
         base_sensitivity=delta,
-        n_evaluations=n_eval,
     )
 
 

@@ -154,16 +154,8 @@ def _execute_run(cfg: SimConfig, run: int) -> list[RunRecord | RunFailure]:
         except Exception as exc:  # per-run failures never abort the sweep
             out.append(RunFailure(run, name, f"{type(exc).__name__}: {exc}"))
             continue
-        out.append(
-            RunRecord(
-                run=run,
-                strategy=name,
-                value=res.value,
-                n_mis=res.n_mis_at_query,
-                epsilon_spent=res.epsilon_spent_total,
-                sensitivity_used=res.sensitivity_used,
-            )
-        )
+        out.append(RunRecord(run, name, res.value, res.n_mis_at_query,
+                             res.epsilon_spent_total, res.sensitivity_used))
     return out
 
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core_data import Dataset, PrivacyBudget, n_mis
-from .imputation import fit_imputation_model, impute
+from .imputation import fit_imputation_model, imputed_mean
 from .mechanisms import RandomSource, laplace_mechanism
 from .sensitivity import inflated_sensitivity, mean_global_sensitivity
 
@@ -90,7 +90,7 @@ def run_impute_then_query(
     scale; a strictly worst-case release would use the uniform bound n*Delta.
     """
     model = fit_imputation_model(d, privacy_epsilon=None)
-    value = float(impute(d, model).response.mean())
+    value = imputed_mean(d, model)
     delta = mean_global_sensitivity(d.universe, d.n)
     sens = inflated_sensitivity(delta, n_mis(d)).inflated_sensitivity
     return _release(IMPUTE_THEN_QUERY, d, value, sens, budget.epsilon_total, budget, rng)
@@ -110,7 +110,7 @@ def run_dp_impute_then_query(
     model = fit_imputation_model(
         d, privacy_epsilon=eps1, rng=rng.split(_FIT_STREAM)
     )
-    value = float(impute(d, model).response.mean())
+    value = imputed_mean(d, model)
     sens = mean_global_sensitivity(d.universe, d.n)
     return _release(
         DP_IMPUTE_THEN_QUERY, d, value, sens, budget.epsilon_analysis, budget, rng

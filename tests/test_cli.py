@@ -70,6 +70,16 @@ class TestSimulate:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_failed_write_names_the_target(self, tmp_path, capsys):
+        # runs.csv is a directory, so the rename onto it fails
+        cfg = write_config(tmp_path)
+        target = tmp_path / "out" / "runs.csv"
+        target.mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(target)) in err and "runs.csv." not in err
+        assert sorted(p.name for p in target.parent.iterdir()) == ["runs.csv"]
+
     def test_emit_svg(self, tmp_path):
         cfg = write_config(tmp_path, emit_svg=True)
         assert main(["simulate", "--config", str(cfg)]) == 0
@@ -266,6 +276,15 @@ class TestImpute:
             assert "cannot write output" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "kept.csv"]
         assert kept.read_text() == "old\n"
+
+    def test_failed_write_names_the_target(self, tmp_path, capsys):
+        # the message names the path asked for, not the temp file beside it
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        target = tmp_path / "no-dir" / "m.json"
+        assert main(["impute", "--data", str(data), "--out", str(tmp_path / "o.csv"),
+                     "--save-model", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(target)) in err and "m.json." not in err
 
     @pytest.mark.parametrize("text, expected", [
         ("x1,y,missing\r\n0.50,0.5,0\r\n\r\n 0.1,0.30,0\r\n0.7,abc,1\r\n"

@@ -14,7 +14,9 @@ from dpimpute import (
     Universe,
     check_imputer_contract,
     fit_imputation_model,
+    hamming_distance,
     impute,
+    imputed_mean,
     n_mis,
     ols_fit,
 )
@@ -225,6 +227,75 @@ class TestStochasticImpute:
         assert a.response[0] == b.response[0]
 
 
+def random_dataset(seed, n, d, missing, universe):
+    """n records of d covariates in [0, 1] with responses uniform in the
+    universe; ``missing`` is "none", "some" or "all"."""
+    rng = RandomSource(seed)
+    lo, hi = universe.response_bounds
+    x = rng.uniform(size=(n, d))
+    y = rng.uniform(lo, hi, size=n)
+    mask = {"none": np.zeros(n, dtype=bool), "all": np.ones(n, dtype=bool),
+            "some": rng.uniform(size=n) < 0.5}[missing]
+    return Dataset(x, y, mask, universe)
+
+
+class TestImputedMean:
+    """imputed_mean is the response mean of impute's completion, computed
+    from the complete-case sum and the missing rows alone."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(1, 60),
+        d=st.sampled_from([0, 1, 3]),
+        missing=st.sampled_from(["none", "some", "all"]),
+        kind=st.sampled_from(["ols", "fm", "beta"]),
+        lo=st.floats(-100.0, 100.0),
+        width=st.floats(0.01, 100.0),
+    )
+    def test_matches_mean_of_completion(self, seed, n, d, missing, kind, lo, width):
+        u = Universe((lo, lo + width))
+        data = random_dataset(seed, n, d, missing, u)
+        if kind == "ols":
+            try:
+                model = fit_imputation_model(data, None)
+            except DegenerateDesignError:
+                return  # too few complete cases for a plain fit
+        elif kind == "fm":
+            model = fit_imputation_model(data, 1.0, rng=RandomSource(seed))
+        else:  # coefficients large enough to clip fills at both ends
+            beta = RandomSource(seed).uniform(-4 * width, 4 * width, size=d + 1)
+            model = model_with_beta(beta + lo)
+        expected = float(impute(data, model).response.mean())
+        # two float sums of n terms of size at most max(|a|, |b|)
+        bound = 4 * n * np.finfo(float).eps * max(abs(lo), abs(lo + width))
+        assert abs(imputed_mean(data, model) - expected) <= bound
+
+    def test_no_missing_is_observed_mean(self):
+        d = benchmark_dataset(seed=3, missing=False)
+        model = fit_imputation_model(d, privacy_epsilon=None)
+        assert imputed_mean(d, model) == d.response.mean()
+
+    def test_dimension_mismatch_rejected(self):
+        d = benchmark_dataset(seed=8)
+        for beta in ([0.5], [0.5, 0.5]):
+            with pytest.raises(ValueError, match="model has .* dataset needs 3"):
+                imputed_mean(d, model_with_beta(beta))
+
+    def test_stochastic_model_rejected(self):
+        d = benchmark_dataset(seed=8)
+        with pytest.raises(ValueError, match="deterministic"):
+            imputed_mean(d, model_with_beta([0.0, 0.5, 0.5], stochastic=True,
+                                            sigma2=0.01))
+
+    def test_missing_covariates_are_cached_rows(self):
+        d = benchmark_dataset(seed=4)
+        rows = d.missing_covariates
+        assert rows is d.missing_covariates
+        assert not rows.flags.writeable
+        np.testing.assert_array_equal(rows, d.covariates[d.mask])
+
+
 def refit_mean_imputer(d):
     completed = np.array(d.response)
     completed[d.mask] = d.response[~d.mask].mean()
@@ -290,3 +361,67 @@ class TestImputerContract:
         d = make_dataset([[0.1], [0.2]], [0.4, 0.5], [False, False], u)
         with pytest.raises(ValueError):
             check_imputer_contract(refit_mean_imputer, d, d)
+
+
+def shipped_imputer(epsilon, seed=0):
+    """impute ∘ fit_imputation_model: OLS when ``epsilon`` is None, else
+    the functional mechanism on the same RandomSource for every input."""
+    def imputer(d):
+        rng = None if epsilon is None else RandomSource(seed)
+        return impute(d, fit_imputation_model(d, epsilon, rng=rng))
+    return imputer
+
+
+def neighbor_pair(seed, n, d, kind):
+    """A dataset with at least d + 2 complete cases and a neighbor that
+    changes one record: its observed response ("response") or its mask bit
+    ("flip"), an observed record turning missing or a missing one observed."""
+    u = Universe((-1.0, 2.0))
+    rng = RandomSource(seed)
+    x = rng.uniform(size=(n, d))
+    y = rng.uniform(-1.0, 2.0, size=n)
+    mask = rng.uniform(size=n) < 0.4
+    mask[: d + 3] = False  # complete cases enough for a plain fit on both sides
+    i = int(rng.uniform() * n) if kind == "flip" else 0
+    y2, mask2 = np.array(y), np.array(mask)
+    if kind == "response":
+        y2[i] = -1.0 if y[i] > 0.5 else 2.0
+    else:
+        mask2[i] = not mask[i]
+    return Dataset(x, y, mask, u), Dataset(x, y2, mask2, u)
+
+
+class TestShippedImputerContract:
+    """The bound the released mean relies on, checked on the imputer the
+    strategies ship rather than on a stand-in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(8, 30),
+        d=st.sampled_from([1, 3]),
+        kind=st.sampled_from(["response", "flip"]),
+        epsilon=st.sampled_from([None, 0.5, 5.0]),
+    )
+    def test_no_violations(self, seed, n, d, kind, epsilon):
+        data, neighbor = neighbor_pair(seed, n, d, kind)
+        assert hamming_distance(data, neighbor) == 1
+        imputer = shipped_imputer(epsilon, seed)
+        assert check_imputer_contract(imputer, data, neighbor) == []
+        assert check_imputer_contract(imputer, neighbor, data) == []
+
+    @pytest.mark.parametrize("epsilon", [None, 1.0])
+    def test_rewriting_an_observed_record_fails(self, epsilon):
+        shipped = shipped_imputer(epsilon)
+
+        def planted(d):
+            out = shipped(d)
+            y = np.array(out.response)
+            i = int(np.flatnonzero(~d.mask)[-1])
+            y[i] = 0.5 if y[i] != 0.5 else 1.5
+            return Dataset(out.covariates, y, out.mask, out.universe)
+
+        data, neighbor = neighbor_pair(7, 20, 1, "response")
+        violations = check_imputer_contract(planted, data, neighbor)
+        assert "D: observed values were changed" in violations
+        assert "D': observed values were changed" in violations

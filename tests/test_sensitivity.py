@@ -14,6 +14,7 @@ from dpimpute import (
     extrapolation_tightness_witness,
     group_privacy_factor,
     hamming_distance,
+    impute,
     inflated_sensitivity,
     mean_global_sensitivity,
     read_dataset_csv,
@@ -136,19 +137,19 @@ class TestBruteForceOracle:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_planted_bound_breaker_is_caught(self, monkeypatch, n):
-        # an imputer that overwrites every record, observed ones included,
-        # with b once any completed response reaches b; a check that never
-        # compared anything would pass it
-        real_impute = sensitivity.impute
+        # the mean of an imputer that overwrites every record, observed ones
+        # included, with b once any completed response reaches b, planted
+        # where the oracle scores a dataset; a check that never compared
+        # anything would pass it
+        real_mean = sensitivity.imputed_mean
 
         def planted(d, model):
-            out = real_impute(d, model)
             hi = d.universe.response_bounds[1]
-            if (out.response == hi).any():
-                return Dataset(out.covariates, np.full(d.n, hi), out.mask, d.universe)
-            return out
+            if (impute(d, model).response == hi).any():
+                return hi
+            return real_mean(d, model)
 
-        monkeypatch.setattr(sensitivity, "impute", planted)
+        monkeypatch.setattr(sensitivity, "imputed_mean", planted)
         res = brute_force_imputed_sensitivity([0.0, 0.5, 1.0], n)
         assert res.violations != ()
         assert all(v.gap > v.bound for v in res.violations)

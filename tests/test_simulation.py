@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from dpimpute import core_data, simulation
+from dpimpute import core_data, imputation, simulation
 from dpimpute import (
     RandomSource,
     SimConfig,
@@ -179,7 +180,8 @@ class TestSweep:
 class TestOneCompleteCaseRead:
     def test_run_selects_and_sums_complete_cases_once(self, monkeypatch):
         # the three strategies of a run share one statistic of its Dataset
-        calls = {"moments": 0, "compress": 0}
+        # and one selection of its missing rows; none completes the Dataset
+        calls = {"moments": 0, "compress": 0, "impute": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -190,9 +192,16 @@ class TestOneCompleteCaseRead:
         moments = counted("moments", core_data._moments)
         monkeypatch.setattr(core_data, "_moments", moments)
         monkeypatch.setattr(np, "compress", counted("compress", np.compress))
+        impute = counted("impute", imputation.impute)
+        for name, module in list(sys.modules.items()):  # every binding of it
+            if name.split(".")[0] == "dpimpute":
+                for key, value in list(vars(module).items()):
+                    if value is imputation.impute:
+                        monkeypatch.setattr(module, key, impute)
         out = simulation._execute_run(SimConfig(n=400, runs=1, seed=42), 0)
         assert [r.strategy for r in out] == list(SimConfig().strategies)
-        assert calls == {"moments": 1, "compress": 2}  # covariates and responses
+        # complete-case covariates and responses, then the missing covariates
+        assert calls == {"moments": 1, "compress": 3, "impute": 0}
 
 
 class TestFunctionalMechanismNeverFails:
