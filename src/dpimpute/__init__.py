@@ -3,17 +3,14 @@
 from .core_data import (
     BudgetExceededError,
     Dataset,
-    IncomparableDatasetsError,
     PrivacyBudget,
     Universe,
-    hamming_distance,
     n_mis,
     read_dataset_csv,
     write_dataset_csv,
 )
 from .imputation import (
     ImputationModel,
-    check_imputer_contract,
     fit_imputation_model,
     impute,
     imputed_mean,

@@ -23,7 +23,8 @@ from .core_data import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .imputation import ImputationModel, fit_imputation_model, impute
+from .imputation import (ImputationModel, _check_coefficients,
+                         fit_imputation_model, impute)
 from .mechanisms import OlsFit, RandomSource
 from .sensitivity import (
     group_privacy_factor,
@@ -159,15 +160,15 @@ def _load_model(path: str, data: Dataset) -> ImputationModel:
         raise ValueError("private must be true or false")
     if not (is_finite_real(spent) and spent >= 0):
         raise ValueError("epsilon_spent must be a finite number >= 0")
-    if len(beta) != data.d + 1:
-        raise ValueError(f"beta must have {data.d + 1} entries, β₀ first")
     fit = OlsFit(
         beta=np.asarray(beta, dtype=np.float64),
         sigma2_hat=0.0,
         private=private,
         epsilon_spent=float(spent),
     )
-    return ImputationModel(fit=fit, stochastic=False)
+    model = ImputationModel(fit=fit, stochastic=False)
+    _check_coefficients(data, model)  # β₀ first, then one per covariate
+    return model
 
 
 def cmd_impute(args) -> int:
@@ -235,9 +236,10 @@ def cmd_query(args) -> int:
         result = strategies.run_strategy(
             _STRATEGY_FLAG[args.strategy], data, budget, RandomSource(args.seed)
         )
+        text = json.dumps(dataclasses.asdict(result), allow_nan=False)
     except (ValueError, RuntimeError) as exc:
         return _fail(EXIT_RUNTIME, str(exc))
-    print(json.dumps(dataclasses.asdict(result)))
+    print(text)
     return EXIT_OK
 
 

@@ -11,10 +11,6 @@ from itertools import compress
 import numpy as np
 
 
-class IncomparableDatasetsError(ValueError):
-    """Raised when two datasets cannot be compared record-by-record."""
-
-
 class BudgetExceededError(RuntimeError):
     """Raised when a ledger append would overdraw the privacy budget."""
 
@@ -161,24 +157,6 @@ def n_mis(d: Dataset) -> int:
     return int(np.count_nonzero(d.mask))
 
 
-def hamming_distance(d1: Dataset, d2: Dataset) -> int:
-    """Number of records in which the two datasets differ.
-
-    A record differs if its covariate row, mask bit, or (when observed on
-    both sides) response value differs.  Sentinel content under matching
-    masked entries is ignored.
-    """
-    if d1.covariates.shape != d2.covariates.shape:
-        raise IncomparableDatasetsError(
-            f"shape mismatch: {d1.covariates.shape} vs {d2.covariates.shape}"
-        )
-    diff = (d1.covariates != d2.covariates).any(axis=1)
-    diff |= d1.mask != d2.mask
-    both_obs = ~d1.mask & ~d2.mask
-    diff |= both_obs & (d1.response != d2.response)
-    return int(diff.sum())
-
-
 class PrivacyBudget:
     """Total ε split into an imputation share and an analysis share.
 
@@ -188,9 +166,11 @@ class PrivacyBudget:
 
     def __init__(self, epsilon_total: float, imputation_share: float = 0.5):
         if not (is_finite_real(epsilon_total) and epsilon_total > 0):
-            raise ValueError("epsilon_total must be a finite positive number")
-        if not 0.0 <= imputation_share < 1.0:
-            raise ValueError("imputation share must lie in [0, 1)")
+            raise ValueError(
+                f"epsilon must be a finite positive number, got {epsilon_total!r}")
+        if not (is_finite_real(imputation_share) and 0 <= imputation_share < 1):
+            raise ValueError(
+                f"imputation share must lie in [0, 1), got {imputation_share!r}")
         self._total = float(epsilon_total)
         self._eps1 = imputation_share * self._total
         self._eps2 = self._total - self._eps1  # eps1 + eps2 == total within 1e-12

@@ -4,11 +4,10 @@ responses record-locally, clip into the universe."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .core_data import Dataset, hamming_distance, n_mis
+from .core_data import Dataset
 from .mechanisms import OlsFit, RandomSource, functional_mechanism_ols, ols_fit
 
 
@@ -97,36 +96,3 @@ def impute(
         d.covariates, fill, np.zeros(d.n, dtype=bool), d.universe
     )
 
-
-def check_imputer_contract(
-    imputer: Callable[[Dataset], Dataset], d: Dataset, d_neighbor: Dataset
-) -> list[str]:
-    """Verify the imputation-scheme assumptions on a neighbor pair.
-
-    Checks that the completed datasets stay inside the universe, that
-    observed values are bit-identical, and that the completed pair differs in
-    at most n_mis + 1 records.  An empty list means ok.
-    """
-    if hamming_distance(d, d_neighbor) != 1:
-        raise ValueError("inputs must be neighbors (hamming distance 1)")
-    violations: list[str] = []
-    completed = []
-    for tag, original in (("D", d), ("D'", d_neighbor)):
-        out = imputer(original)
-        completed.append(out)
-        if out.mask.any():
-            violations.append(f"{tag}: output still has missing values")
-        if out.universe != original.universe:  # a Dataset is in its own universe
-            violations.append(f"{tag}: imputed dataset leaves the universe")
-        obs = ~original.mask
-        if not np.array_equal(
-            out.response[obs], original.response[obs]
-        ) or not np.array_equal(out.covariates, original.covariates):
-            violations.append(f"{tag}: observed values were changed")
-    dist = hamming_distance(completed[0], completed[1])
-    bound = n_mis(d) + 1
-    if dist > bound:
-        violations.append(
-            f"completed pair differs in {dist} records, bound is n_mis+1={bound}"
-        )
-    return violations

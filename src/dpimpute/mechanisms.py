@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,7 @@ def functional_mechanism_sensitivity(p: int) -> float:
 DEFAULT_COEF_BOUND = 10.0
 _GRAM_RTOL = 1e-10
 _TRIM_TAU = 1e-8  # curvature floor of the spectral trimming (Zhang et al. 2012, §5)
+_MAX_SCALE = sys.float_info.max / 128  # room for a sum of two Laplace draws
 
 
 class DegenerateDesignError(ValueError):
@@ -70,10 +72,12 @@ def laplace_samples(scale: float, size, rng: RandomSource) -> np.ndarray:
     """Laplace(0, scale) draws by inverse CDF, one uniform in [-0.5, 0.5) each.
 
     u = -0.5 would map to infinite noise, so such a uniform is redrawn from
-    the same stream; every other draw is unaffected.
+    the same stream; every other draw is unaffected.  The largest draw is
+    36.04·scale (|u| = 0.5 - 2⁻⁵³), so a scale above _MAX_SCALE is refused
+    before any draw: two draws and their sum stay finite.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0 < scale <= _MAX_SCALE:
+        raise ValueError(f"noise scale must lie in (0, {_MAX_SCALE:.4g}], got {scale}")
     u = np.asarray(rng.uniform(-0.5, 0.5, size=size))
     bad = u == -0.5
     while bad.any():

@@ -45,15 +45,12 @@ class SimConfig:
             raise ValueError("n, d and runs must be positive, seed nonnegative")
         if len(self.beta) != self.d:
             raise ValueError(f"beta must have length d={self.d}")
-        for value in (*self.beta, self.sigma2, self.epsilon, self.split):
+        for value in (*self.beta, self.sigma2):
             if not is_finite_real(value):
                 raise ValueError(f"numeric settings must be finite, got {value!r}")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 <= self.split < 1.0:
-            raise ValueError("split must lie in [0, 1)")
+        PrivacyBudget(self.epsilon, imputation_share=self.split)  # its ε and split rules
         if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
         unknown = set(self.strategies) - set(strat.ALL_STRATEGIES)

@@ -103,7 +103,8 @@ def run_dp_impute_then_query(
     base sensitivity (b-a)/n; total spend ε₁+ε₂ by sequential composition.
 
     ε₁ is spent before the fit, so a fit refused after the spend (e.g. for
-    covariates outside [0, 1]) stays ledgered; noise never fails the fit.
+    covariates outside [0, 1], or a noise scale Δ_FM/ε₁ too large to draw)
+    stays ledgered.
     """
     eps1 = budget.epsilon_imputation
     budget.spend("imputation", eps1)

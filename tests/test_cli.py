@@ -465,6 +465,8 @@ class TestMalformedInput:
         {"epsilon": math.inf},
         {"strategies": ["available_case", "available_case"]},
         {"strategies": []},
+        {"split": False},
+        {"epsilon": 0},
     ])
     def test_bad_config_value(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, **override)
@@ -560,3 +562,31 @@ class TestMalformedInput:
         assert captured.out == ""
         assert "--workers must be >= 0" in captured.err
         assert not (tmp_path / "out").exists()
+
+
+class TestOverflowingNoise:
+    """A budget so small that Δ/ε overflows a float is refused before any
+    draw: no release carries infinite noise, and nothing reaches stdout."""
+
+    @pytest.mark.parametrize("strategy", ["available-case", "impute", "dp-impute"])
+    def test_query_refused(self, tmp_path, capsys, strategy):
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        assert main(["query", "--data", str(data), "--strategy", strategy,
+                     "--epsilon", "1e-320"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "noise scale must lie in" in captured.err
+
+    def test_private_impute_refused(self, tmp_path, capsys):
+        data = write_data(tmp_path, [False] * 18 + [True, True])
+        out = tmp_path / "out.csv"
+        assert main(["impute", "--data", str(data), "--out", str(out),
+                     "--privacy-epsilon", "1e-320"]) == 3
+        assert "noise scale must lie in" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_refused(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epsilon=1e-320)
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert "all runs failed" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "runs.csv").exists()

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 from dpimpute import (
     BudgetExceededError,
     Dataset,
-    IncomparableDatasetsError,
     PrivacyBudget,
     RandomSource,
     Universe,
     fit_imputation_model,
-    hamming_distance,
     impute,
     n_mis,
     read_dataset_csv,
@@ -25,6 +23,7 @@ from dpimpute import (
 from dpimpute import core_data
 from dpimpute.cli import _load_model, main
 from dpimpute.core_data import COVARIATE_BOUNDS, _outside_universe
+from oracles import IncomparableDatasetsError, hamming_distance
 
 
 def make_dataset(x, y, mask, universe=None):
@@ -318,6 +317,11 @@ class TestPrivacyBudget:
             PrivacyBudget(math.inf)
         with pytest.raises(ValueError):
             PrivacyBudget(1.0, imputation_share=1.0)
+
+    @pytest.mark.parametrize("share", [False, True, math.nan, math.inf, "0.5", None])
+    def test_share_must_be_a_finite_number(self, share):
+        with pytest.raises(ValueError, match="imputation share must lie in"):
+            PrivacyBudget(1.0, imputation_share=share)
 
 
 class TestCsvRoundTrip:

@@ -17,12 +17,28 @@ from dpimpute import (
 )
 from dpimpute import mechanisms
 from dpimpute.core_data import _moments
-from dpimpute.mechanisms import DEFAULT_COEF_BOUND, _perturbed_quadratic_min
+from dpimpute.mechanisms import (
+    DEFAULT_COEF_BOUND,
+    _MAX_SCALE,
+    _perturbed_quadratic_min,
+)
 
 
 def complete(x, y, bounds=(0.0, 1.0)):
     """The fully observed Dataset of covariates x and responses y in ``bounds``."""
     return Dataset(x, y, np.zeros(len(y), dtype=bool), Universe(bounds))
+
+
+class Scripted:
+    """A RandomSource stand-in whose uniforms are the given values, in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def uniform(self, low, high, size=None):
+        if size is None:
+            return self.values.pop(0)
+        return np.array([self.values.pop(0) for _ in range(size)])
 
 
 class TestRandomSource:
@@ -85,15 +101,6 @@ class TestLaplaceSample:
     def test_lowest_uniform_is_redrawn(self):
         # u = -0.5 would give log1p(-1) = -inf; it is replaced by the next
         # uniform of the same stream, and the other draws keep their values
-        class Scripted:
-            def __init__(self, values):
-                self.values = list(values)
-
-            def uniform(self, low, high, size=None):
-                if size is None:
-                    return self.values.pop(0)
-                return np.array([self.values.pop(0) for _ in range(size)])
-
         expected = laplace_samples(1.0, 1, Scripted([0.25]))[0]
         assert laplace_sample(1.0, Scripted([-0.5, 0.25])) == expected
         draws = laplace_samples(1.0, 3, Scripted([0.1, -0.5, 0.2, -0.5, 0.25]))
@@ -102,6 +109,20 @@ class TestLaplaceSample:
         np.testing.assert_array_equal(
             draws[[0, 2]], laplace_samples(1.0, 2, Scripted([0.1, 0.2]))
         )
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, np.nextafter(_MAX_SCALE, np.inf)])
+    def test_refuses_a_scale_whose_draws_could_overflow(self, scale):
+        rng = RandomSource(0)
+        with pytest.raises(ValueError, match="noise scale must lie in"):
+            laplace_samples(scale, 10, rng)
+        assert "_gen" not in vars(rng)  # refused before any draw
+
+    def test_extreme_draws_at_the_largest_scale_stay_finite(self):
+        # |u| = 0.5 - 2⁻⁵³ is the largest a uniform in [-0.5, 0.5) reaches
+        edge = 0.5 - 2.0**-53
+        draws = laplace_samples(_MAX_SCALE, 2, Scripted([edge, -edge]))
+        assert draws[0] == -draws[1] == pytest.approx(52 * np.log(2) * _MAX_SCALE)
+        assert np.isfinite(draws + draws).all()  # the FM adds two draws
 
 
 class TestLaplaceMechanism:
@@ -281,6 +302,23 @@ class TestFunctionalMechanism:
                 functional_mechanism_ols(complete(x, y), epsilon, RandomSource(0))
         with pytest.raises(ValueError):
             functional_mechanism_ols(complete(x + 2.0, y), 1.0, RandomSource(0))
+
+    def test_overflowing_noise_scale_refused(self):
+        # Δ_FM/ε overflows to inf; refused with no RuntimeWarning (pytest
+        # turns warnings into errors) and no eigensolver failure
+        x = np.full((5, 2), 0.5)
+        y = np.full(5, 0.5)
+        with pytest.raises(ValueError, match="noise scale"):
+            functional_mechanism_ols(complete(x, y), 1e-320, RandomSource(0))
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_largest_accepted_scale_gives_finite_fit(self, d):
+        rng = RandomSource(50)
+        data = complete(rng.uniform(size=(50, d)), rng.uniform(size=50))
+        epsilon = functional_mechanism_sensitivity(d + 1) / _MAX_SCALE
+        for seed in range(20):
+            fit = functional_mechanism_ols(data, epsilon, RandomSource(seed))
+            assert np.isfinite(fit.beta).all()
 
     def test_deterministic_for_fixed_seed(self):
         rng_data = RandomSource(30)

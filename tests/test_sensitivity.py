@@ -13,7 +13,6 @@ from dpimpute import (
     brute_force_imputed_sensitivity,
     extrapolation_tightness_witness,
     group_privacy_factor,
-    hamming_distance,
     impute,
     inflated_sensitivity,
     mean_global_sensitivity,
@@ -23,6 +22,7 @@ from dpimpute import (
 )
 from dpimpute import sensitivity
 from dpimpute.core_data import COVARIATE_BOUNDS
+from oracles import hamming_distance
 
 
 class TestMeanGlobalSensitivity:
