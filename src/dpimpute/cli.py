@@ -104,6 +104,8 @@ def cmd_simulate(args) -> int:
         return _fail(EXIT_BAD_CONFIG, f"--workers must be >= 0, got {args.workers}")
 
     records, failures = simulation.run_sweep(cfg, workers=args.workers)
+    for f in failures:
+        print(f"run {f.run} {f.strategy} failed: {f.message}", file=sys.stderr)
     if not records:
         return _fail(EXIT_RUNTIME, "all runs failed")
     summary = simulation.summarize_runs(cfg, records, failures)
@@ -116,8 +118,6 @@ def cmd_simulate(args) -> int:
         _atomic_write(outputs)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write outputs: {exc}")
-    for f in failures:
-        print(f"run {f.run} {f.strategy} failed: {f.message}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -15,7 +15,7 @@ class BudgetExceededError(RuntimeError):
     """Raised when a ledger append would overdraw the privacy budget."""
 
 
-# covariate domain of the dataset CSV format and of the functional mechanism
+# covariate domain of every Dataset, so of the CSV format and the functional mechanism
 COVARIATE_BOUNDS = (0.0, 1.0)
 
 
@@ -73,9 +73,8 @@ def _frozen(a, dtype) -> np.ndarray:
 
 def _moments(x: np.ndarray, y: np.ndarray):
     """Least-squares moments (Z'Z, Z'y, y'y) of the design Z = [1, x], the
-    n x d matrix x with a leading column of ones, and the min and max of x
-    (inf and -inf if x is empty, NaN if it holds one).  Z is never formed:
-    x'x and x'y are bordered with n, Σx and Σy.  The arrays are read-only."""
+    n x d matrix x with a leading column of ones.  Z is never formed: x'x
+    and x'y are bordered with n, Σx and Σy.  The arrays are read-only."""
     n, d = x.shape
     gram = np.empty((d + 1, d + 1))
     gram[0, 0] = n
@@ -84,8 +83,7 @@ def _moments(x: np.ndarray, y: np.ndarray):
     zty = np.concatenate(([y.sum()], x.T @ y))
     for a in (gram, zty):
         a.setflags(write=False)
-    x_range = float(x.min(initial=np.inf)), float(x.max(initial=-np.inf))
-    return gram, zty, float(y @ y), *x_range
+    return gram, zty, float(y @ y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +91,12 @@ class Dataset:
     """n records of d covariates plus one partially observed response.
 
     The mask is authoritative: entries with ``mask=True`` are missing and the
-    stored response value there is an unread sentinel (NaN).  Every observed
-    response must lie in the universe [a, b].  A read-only input of the right
-    dtype that owns its memory (another Dataset's) is shared; any other is
-    copied and frozen.  A masked response is always copied once, to write the
-    sentinel.  Equality and hashing are by identity.
+    stored response value there is an unread sentinel (NaN).  Every covariate
+    must lie in COVARIATE_BOUNDS, and every observed response in the universe
+    [a, b].  A read-only input of the right dtype that owns its memory
+    (another Dataset's) is shared; any other is copied and frozen.  A masked
+    response is always copied once, to write the sentinel.  Equality and
+    hashing are by identity.
     """
 
     covariates: np.ndarray
@@ -114,6 +113,10 @@ class Dataset:
         n = x.shape[0]
         if np.shape(y) != (n,) or m.shape != (n,):
             raise ValueError("response/mask length must match the number of records")
+        lo, hi = COVARIATE_BOUNDS  # checked first, so only these are listed
+        if x.size and not (lo <= x.min() and x.max() <= hi):  # NaN fails too
+            columns = [(f"x{j + 1}", c) for j, c in enumerate(x.T)]
+            raise _outside_universe(columns, lo, hi)
         if m.any():
             y = np.where(m, np.nan, y)  # sentinel; never read as data
             y.setflags(write=False)
@@ -137,9 +140,9 @@ class Dataset:
         return self.covariates.shape[1]
 
     @cached_property
-    def complete_cases(self) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-        """(Z'Z, Z'y, y'y, x_min, x_max) of the records with an observed
-        response (see ``_moments``), built on first read; no row is kept."""
+    def complete_cases(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(Z'Z, Z'y, y'y) of the records with an observed response (see
+        ``_moments``), built on first read; no row is kept."""
         obs = ~self.mask
         x, y = (np.compress(obs, a, axis=0) for a in (self.covariates, self.response))
         return _moments(x, y)
@@ -173,7 +176,7 @@ class PrivacyBudget:
                 f"imputation share must lie in [0, 1), got {imputation_share!r}")
         self._total = float(epsilon_total)
         self._eps1 = imputation_share * self._total
-        self._eps2 = self._total - self._eps1  # eps1 + eps2 == total within 1e-12
+        self._eps2 = self._total - self._eps1  # eps1 + eps2 == total within an ulp
         self._ledger: list[tuple[str, float]] = []
 
     @property
@@ -199,7 +202,7 @@ class PrivacyBudget:
     def spend(self, label: str, epsilon: float) -> None:
         if not (is_finite_real(epsilon) and epsilon >= 0):
             raise ValueError(f"cannot spend {epsilon!r}: need a finite number >= 0")
-        if self.total_spent + epsilon > self._total + 1e-12:
+        if self.total_spent + epsilon > self._total * (1 + 1e-12):  # for eps1 + eps2
             raise BudgetExceededError(
                 f"spending {epsilon} as {label!r} would exceed budget "
                 f"{self._total} (already spent {self.total_spent})"
@@ -247,8 +250,8 @@ def _raise_first_bad_line(lines, d: int) -> None:
 
 
 def read_dataset_csv(path, response_bounds: tuple[float, float]) -> Dataset:
-    """Read a dataset whose header fixes d; every covariate must lie in
-    COVARIATE_BOUNDS and every observed response in ``response_bounds``."""
+    """Read a dataset whose header fixes d; the Dataset refuses a covariate
+    outside COVARIATE_BOUNDS or an observed response outside ``response_bounds``."""
     return _read_records(path, response_bounds)[0]
 
 
@@ -282,9 +285,6 @@ def _read_records(path, response_bounds) -> tuple[Dataset, list[str]]:
     except ValueError:
         _raise_first_bad_line(lines, d)
         raise  # unreachable: the rescan refuses every record the bulk parse does
-    lo, hi = COVARIATE_BOUNDS
-    if x.size and not (lo <= x.min() and x.max() <= hi):  # NaN fails too
-        raise _outside_universe(zip(expected, x.T), lo, hi)
     for a in (x, y, m):  # owned and read-only, so Dataset shares them
         a.setflags(write=False)
     return Dataset(x, y, m, universe), body

@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core_data import COVARIATE_BOUNDS, Dataset
+from .core_data import Dataset
 
 # Sensitivity of the expanded squared-error objective under replace-one
 # neighbors, all attributes mapped into [-1,1]: per tuple the p degree-1
@@ -94,7 +94,7 @@ def laplace_mechanism(
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return value + laplace_sample(sensitivity / epsilon, rng)
+    return value + laplace_sample(float(sensitivity) / float(epsilon), rng)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +119,7 @@ class OlsFit:
 
 def ols_fit(d: Dataset) -> OlsFit:
     """Complete-case least squares via the normal equations (LAPACK LU solve)."""
-    gram, zty, yty, _, _ = d.complete_cases
+    gram, zty, yty = d.complete_cases
     n, p = int(gram[0, 0]), gram.shape[0]
     s = np.linalg.svd(gram, compute_uv=False)
     if s[-1] <= _GRAM_RTOL * s[0]:
@@ -149,7 +149,7 @@ def _perturbed_quadratic_min(
     above _TRIM_TAU (0 if there are none), clipped to the coefficient box.
     """
     p = gram.shape[0]
-    scale = functional_mechanism_sensitivity(p) / epsilon
+    scale = functional_mechanism_sensitivity(p) / float(epsilon)
     lam1 = -2.0 * zty + laplace_samples(scale, p, rng)
     a = gram + laplace_samples(scale, (p, p), rng)
     a = (a + a.T) / 2.0
@@ -170,11 +170,7 @@ def functional_mechanism_ols(d: Dataset, epsilon: float, rng: RandomSource) -> O
     """
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
-    gram, zty, _, x_min, x_max = d.complete_cases
-    # Δ_FM needs data in range; the Dataset keeps y in [a, b], NaN fails here
-    x_lo, x_hi = COVARIATE_BOUNDS
-    if not (x_lo <= x_min and x_max <= x_hi):
-        raise ValueError("functional mechanism requires covariates in [0, 1]")
+    gram, zty, _ = d.complete_cases  # Δ_FM holds: the Dataset is in its domain
     a_lo, a_hi = d.universe.response_bounds
     p = gram.shape[0]
     t = np.eye(p)

@@ -38,7 +38,7 @@ class QueryResult:
 
 def available_case_mean(d: Dataset) -> float:
     """Noise-free mean Σy / n_obs of the observed responses (the biased estimand)."""
-    gram, zty, _, _, _ = d.complete_cases
+    gram, zty, _ = d.complete_cases
     if gram[0, 0] == 0:
         raise NoObservedResponsesError("no observed responses")
     return float(zty[0] / gram[0, 0])

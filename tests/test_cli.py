@@ -588,5 +588,10 @@ class TestOverflowingNoise:
     def test_simulate_refused(self, tmp_path, capsys):
         cfg = write_config(tmp_path, epsilon=1e-320)
         assert main(["simulate", "--config", str(cfg)]) == 3
-        assert "all runs failed" in capsys.readouterr().err
         assert not (tmp_path / "out" / "runs.csv").exists()
+        # each run's failure is printed before the summary line
+        *runs, last = capsys.readouterr().err.splitlines()
+        assert last == "error: all runs failed"
+        assert len(runs) == 3 * 3  # runs x strategies
+        assert all(r.startswith("run ") and "failed: ValueError: noise scale must lie in"
+                   in r for r in runs)

@@ -115,8 +115,8 @@ class TestCompleteCases:
         d = make_dataset([[0.1], [0.2], [0.3]], [0.3, 0.4, 0.5], [False, True, False])
         stats = d.complete_cases
         assert d.complete_cases is stats and len(built) == 1
-        gram, zty, yty, x_min, x_max = stats
-        assert (gram[0, 0], zty[0], x_min, x_max) == (2, 0.8, 0.1, 0.3)
+        gram, zty, yty = stats
+        assert (gram[0, 0], zty[0]) == (2, 0.8)
         assert yty == pytest.approx(0.34)
         for a in (gram, zty):
             with pytest.raises(ValueError, match="read-only"):
@@ -250,6 +250,55 @@ class TestValidate:
         assert n_mis(make_dataset([[0.1], [0.2]], [9.0, -9.0], [True, True])) == 2
         empty = Dataset(np.empty((0, 2)), [], np.empty(0, bool), Universe.unit())
         assert empty.n == 0
+        for n in (0, 3):  # no covariates: nothing to check against [0, 1]
+            d = Dataset(np.empty((n, 0)), [0.5] * n, np.zeros(n, bool), Universe.unit())
+            assert (d.n, d.d) == (n, 0)
+
+    def test_nan_covariate_of_a_missing_record_refused(self):
+        # the imputers read a missing record's covariates: a NaN there
+        # would release nan at the full spend
+        with pytest.raises(ValueError, match=r"row 3 x1: value nan outside \[0.0, 1.0\]"):
+            make_dataset([[0.1], [0.5], [0.9], [np.nan]], [0.2, 0.4, 0.6, np.nan],
+                         [False, False, False, True])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.1, 1.5])
+    def test_covariate_outside_domain_refused(self, bad, masked, d):
+        x = np.full((4, d), 0.5)
+        x[2, d - 1] = bad
+        with pytest.raises(ValueError) as info:
+            make_dataset(x, [0.5] * 4, [False, False, masked, True])
+        assert str(info.value) == (
+            f"1 value(s) outside the universe: row 2 x{d}: value {bad!r} "
+            "outside [0.0, 1.0]"
+        )
+
+    def test_covariates_are_checked_before_the_response(self):
+        with pytest.raises(ValueError) as info:
+            make_dataset([[0.5, 1.5], [2.0, 0.5]], [7.0, 0.5], [False, False])
+        assert str(info.value) == (
+            "2 value(s) outside the universe: row 1 x1: value 2.0 outside "
+            "[0.0, 1.0]; row 0 x2: value 1.5 outside [0.0, 1.0]"
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats() | st.floats(-0.5, 1.5)
+        | st.sampled_from([-0.0, 0.0, 1.0, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0)]),
+        st.booleans(),
+    ), max_size=6))
+    def test_constructs_iff_covariates_in_domain(self, records):
+        # unlike a response, a covariate is checked under the mask too
+        x = np.array([[v] for v, _ in records]).reshape(-1, 1)
+        mask = [m for _, m in records]
+        y = np.full(len(records), 0.5)
+        lo, hi = COVARIATE_BOUNDS
+        if all(lo <= v <= hi for v, _ in records):
+            assert Dataset(x, y, mask, Universe.unit()).covariates.tolist() == x.tolist()
+        else:
+            with pytest.raises(ValueError, match="outside the universe"):
+                Dataset(x, y, mask, Universe.unit())
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
@@ -300,6 +349,24 @@ class TestPrivacyBudget:
             rel_tol=1e-12,
         )
 
+    def test_tiny_budget_cannot_be_overspent(self):
+        # the rounding slack is relative: eleven spends of 1e-13 used to fit
+        b = PrivacyBudget(1e-13)
+        b.spend("first", 1e-13)
+        with pytest.raises(BudgetExceededError):
+            b.spend("second", 1e-13)
+        b = PrivacyBudget(1e-306, imputation_share=0.9)
+        b.spend("imputation", b.epsilon_imputation)
+        with pytest.raises(BudgetExceededError):
+            b.spend("imputation", b.epsilon_imputation)
+
+    @given(st.floats(0.0, 0.99),
+           st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 1e-306, 1e-13]))
+    def test_both_shares_fit_any_budget(self, share, total):
+        b = PrivacyBudget(total, imputation_share=share)
+        b.spend("imputation", b.epsilon_imputation)
+        b.spend("analysis", b.epsilon_analysis)
+
     def test_spend_refuses_non_finite_epsilon(self):
         # a NaN entry would make every later budget comparison false
         b = PrivacyBudget(1.0)
@@ -349,8 +416,8 @@ class TestCsvRoundTrip:
     def test_text_is_repr_of_each_value(self, tmp_path):
         u = Universe((-1.0, 2e16))
         d = Dataset(
-            np.array([[-0.0, 5e-324], [1e16, 1 / 3], [0.25, 1.0]]),
-            np.array([5e-324, 0.5, -0.0]),
+            np.array([[-0.0, 5e-324], [5e-324, 1 / 3], [0.25, 1.0]]),
+            np.array([1e16, 0.5, -0.0]),
             np.array([False, True, False]),
             u,
         )
@@ -358,8 +425,8 @@ class TestCsvRoundTrip:
         write_dataset_csv(d, path)
         assert path.read_bytes() == (
             b"x1,x2,y,missing\n"
-            b"-0.0,5e-324,5e-324,0\n"
-            b"1e+16,0.3333333333333333,,1\n"
+            b"-0.0,5e-324,1e+16,0\n"
+            b"5e-324,0.3333333333333333,,1\n"
             b"0.25,1.0,-0.0,0\n"
         )
 

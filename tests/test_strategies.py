@@ -250,14 +250,11 @@ class TestDpImputeThenQuery:
                                  ("analysis", budget.epsilon_analysis))
         with pytest.raises(BudgetExceededError):
             run_dp_impute_then_query(d, budget, RandomSource(0))
-        # a covariate outside [0, 1] is refused by the fit after eps1 was
-        # spent on it; the ledger keeps that spend
-        x[0, 0] = 1.5
-        budget = PrivacyBudget(1e-3)
-        with pytest.raises(ValueError, match=r"covariates in \[0, 1\]"):
-            run_dp_impute_then_query(
-                make_dataset(x, y, [False] * 5 + [True]), budget, RandomSource(22)
-            )
+        # an eps1 whose noise scale overflows is refused by the fit after
+        # eps1 was spent on it; the ledger keeps that spend
+        budget = PrivacyBudget(1e-306, imputation_share=0.9)
+        with pytest.raises(ValueError, match="noise scale must lie in"):
+            run_dp_impute_then_query(d, budget, RandomSource(22))
         assert budget.ledger == (("imputation", budget.epsilon_imputation),)
         # a retry on the same budget cannot release a value
         with pytest.raises(BudgetExceededError):
