@@ -29,7 +29,6 @@ from .mechanisms import (
 from .sensitivity import (
     BruteForceResult,
     EnumerationBudgetError,
-    SensitivityReport,
     brute_force_imputed_sensitivity,
     extrapolation_tightness_witness,
     group_privacy_factor,
@@ -39,7 +38,6 @@ from .sensitivity import (
 )
 from .simulation import (
     SimConfig,
-    SimSummary,
     StrategySummary,
     generate_population,
     inject_missingness,

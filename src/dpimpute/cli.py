@@ -127,10 +127,9 @@ def cmd_bounds(args) -> int:
         base = mean_global_sensitivity(universe, args.n)
         if args.n_mis > args.n:
             raise ValueError(f"--n-mis {args.n_mis} exceeds --n {args.n}")
-        report = inflated_sensitivity(base, args.n_mis)
         payload = {
             "base_sensitivity": base,
-            "inflated_sensitivity": report.inflated_sensitivity,
+            "inflated_sensitivity": inflated_sensitivity(base, args.n_mis),
         }
         for key, k, exponent in (
             ("group_privacy_factor", args.n_mis + 1, "(n_mis+1)·ε"),

@@ -17,30 +17,6 @@ from .imputation import fit_imputation_model, imputed_mean
 class EnumerationBudgetError(RuntimeError):
     """Raised when the exhaustive oracle would exceed its evaluation guard."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"enumeration would need {required} evaluations (budget {budget})"
-        )
-        self.required = required
-        self.budget = budget
-
-
-@dataclass(frozen=True)
-class SensitivityReport:
-    """Base and inflated sensitivity for a query on imputed data."""
-
-    base_sensitivity: float
-    inflated_sensitivity: float
-    n_mis_used: int
-    bound_tight: bool = False
-
-    def __post_init__(self):
-        expected = (self.n_mis_used + 1) * self.base_sensitivity
-        if self.inflated_sensitivity != expected:
-            raise ValueError(
-                "inflated_sensitivity must equal (n_mis_used + 1) * base_sensitivity"
-            )
-
 
 def mean_global_sensitivity(u: Universe, n: int) -> float:
     """Replace-one sensitivity (b-a)/n of the mean of the response."""
@@ -50,17 +26,13 @@ def mean_global_sensitivity(u: Universe, n: int) -> float:
     return (hi - lo) / n
 
 
-def inflated_sensitivity(delta: float, num_missing: int) -> SensitivityReport:
-    """Worst-case sensitivity of a query run on imputed data."""
+def inflated_sensitivity(delta: float, num_missing: int) -> float:
+    """Worst-case sensitivity (n_mis+1)*delta of a query run on imputed data."""
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if num_missing < 0:
         raise ValueError(f"n_mis must be nonnegative, got {num_missing}")
-    return SensitivityReport(
-        base_sensitivity=delta,
-        inflated_sensitivity=(num_missing + 1) * delta,
-        n_mis_used=num_missing,
-    )
+    return (num_missing + 1) * delta
 
 
 def group_privacy_factor(epsilon: float, k: int) -> float:
@@ -126,9 +98,10 @@ def brute_force_imputed_sensitivity(
     grid endpoints are the universe.  Each dataset is scored by the mean of
     its completion under the shipped imputer; one on which the fit or the
     imputation raises ValueError (a singular design, e.g. fewer than two
-    complete cases) is undefined and skipped.  Returns the maximum imputed-mean gap with a lexicographically
-    first witness pair, plus every pair violating the (n_mis+1)*Delta bound
-    (empty when the inflation bound holds, which it must).
+    complete cases) is undefined and skipped.  Returns the maximum
+    imputed-mean gap with a lexicographically first witness pair, plus every
+    pair violating the (n_mis+1)*Delta bound (empty when the inflation bound
+    holds, which it must).
     """
     grid = sorted(float(g) for g in grid)
     if len(grid) < 2:
@@ -137,11 +110,13 @@ def brute_force_imputed_sensitivity(
     s = len(states)
     required = s**n * (1 + n * (s - 1))
     if required > max_evaluations:
-        raise EnumerationBudgetError(required, max_evaluations)
+        raise EnumerationBudgetError(
+            f"enumeration would need {required} evaluations (budget {max_evaluations})"
+        )
 
     universe = Universe((grid[0], grid[-1]))
     x = _spread_covariates(n)
-    delta = (grid[-1] - grid[0]) / n
+    delta = mean_global_sensitivity(universe, n)
 
     def evaluate(combo) -> tuple[Dataset, float | None]:
         y = states[list(combo)]
@@ -158,7 +133,7 @@ def brute_force_imputed_sensitivity(
     for combo, (d, qd) in scored.items():
         if qd is None:
             continue
-        bound = (n_mis(d) + 1) * delta
+        bound = inflated_sensitivity(delta, n_mis(d))
         for i in range(n):
             for st in range(s):
                 if st == combo[i]:
@@ -190,7 +165,7 @@ class TightnessWitness:
     dataset: Dataset
     neighbor: Dataset
     gap: float
-    report: SensitivityReport
+    bound_tight: bool
 
 
 def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitness:
@@ -217,11 +192,5 @@ def extrapolation_tightness_witness(a: float, b: float, n: int) -> TightnessWitn
     d1 = Dataset(x, y1, mask, universe)
     d2 = Dataset(x, y2, mask, universe)
     gap = abs(_imputed_mean(d1) - _imputed_mean(d2))
-    delta = (b - a) / n
-    report = SensitivityReport(
-        base_sensitivity=delta,
-        inflated_sensitivity=(n - 1) * delta,
-        n_mis_used=n - 2,
-        bound_tight=math.isclose(gap, tightness_gap(a, b, n), rel_tol=1e-12),
-    )
-    return TightnessWitness(dataset=d1, neighbor=d2, gap=gap, report=report)
+    tight = math.isclose(gap, tightness_gap(a, b, n), rel_tol=1e-12)
+    return TightnessWitness(dataset=d1, neighbor=d2, gap=gap, bound_tight=tight)

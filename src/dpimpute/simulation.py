@@ -91,12 +91,6 @@ class StrategySummary:
     max: float
 
 
-@dataclass(frozen=True)
-class SimSummary:
-    per_strategy: dict[str, StrategySummary]
-    true_mean: float = TRUE_MEAN
-
-
 def generate_population(cfg: SimConfig, rng: RandomSource) -> Dataset:
     """X ~ U(0,1)^{n x d}; Y = X'beta + N(0, sigma2), clipped into [0,1]."""
     x = rng.uniform(size=(cfg.n, cfg.d))
@@ -182,17 +176,19 @@ def run_sweep(
 
 def summarize_runs(
     cfg: SimConfig, records: list[RunRecord], failures: list[RunFailure]
-) -> SimSummary:
+) -> dict[str, StrategySummary]:
+    """Per-strategy summaries, in ``cfg.strategies`` order; a strategy with
+    no successful run has no entry."""
     per: dict[str, StrategySummary] = {}
     for name in cfg.strategies:
         vals = [r.value for r in records if r.strategy == name]
         nfail = sum(1 for f in failures if f.strategy == name)
         if vals:
             per[name] = dataclasses.replace(summarize(vals), failures=nfail)
-    return SimSummary(per_strategy=per)
+    return per
 
 
-def monte_carlo(cfg: SimConfig, workers: int = 1) -> SimSummary:
+def monte_carlo(cfg: SimConfig, workers: int = 1) -> dict[str, StrategySummary]:
     records, failures = run_sweep(cfg, workers)
     return summarize_runs(cfg, records, failures)
 
@@ -210,9 +206,9 @@ def runs_csv_text(records: list[RunRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_csv_text(summary: SimSummary) -> str:
+def summary_csv_text(summary: dict[str, StrategySummary]) -> str:
     lines = ["strategy,count,failures,mean,bias,variance,min,q1,median,q3,max"]
-    for name, s in summary.per_strategy.items():
+    for name, s in summary.items():
         lines.append(
             f"{name},{s.count},{s.failures},{s.mean!r},{s.bias!r},{s.variance!r},"
             f"{s.min!r},{s.q1!r},{s.median!r},{s.q3!r},{s.max!r}"

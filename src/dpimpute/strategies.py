@@ -92,7 +92,7 @@ def run_impute_then_query(
     model = fit_imputation_model(d, privacy_epsilon=None)
     value = imputed_mean(d, model)
     delta = mean_global_sensitivity(d.universe, d.n)
-    sens = inflated_sensitivity(delta, n_mis(d)).inflated_sensitivity
+    sens = inflated_sensitivity(delta, n_mis(d))
     return _release(IMPUTE_THEN_QUERY, d, value, sens, budget.epsilon_total, budget, rng)
 
 
@@ -102,9 +102,9 @@ def run_dp_impute_then_query(
     """DP model fit at ε₁, deterministic imputation, DP mean at ε₂ with the
     base sensitivity (b-a)/n; total spend ε₁+ε₂ by sequential composition.
 
-    ε₁ is spent before the fit, so a fit refused after the spend (e.g. for
-    covariates outside [0, 1], or a noise scale Δ_FM/ε₁ too large to draw)
-    stays ledgered.
+    ε₁ is spent before the fit, so a fit refused after the spend stays
+    ledgered; that refusal is a noise scale Δ_FM/ε₁ too large to draw, since
+    the Dataset already refused covariates outside [0, 1] at construction.
     """
     eps1 = budget.epsilon_imputation
     budget.spend("imputation", eps1)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .simulation import SimSummary
+from .simulation import TRUE_MEAN, StrategySummary
 
 _WIDTH = 640
 _HEIGHT = 420
@@ -25,14 +25,14 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def render_boxplot(summary: SimSummary) -> str:
+def render_boxplot(summary: dict[str, StrategySummary]) -> str:
     """Boxes with whiskers at min/max and a red line at the true mean."""
-    names = list(summary.per_strategy)
+    names = list(summary)
     if not names:
         raise ValueError("nothing to plot")
-    stats = [summary.per_strategy[n] for n in names]
-    lo = min(min(s.min for s in stats), summary.true_mean)
-    hi = max(max(s.max for s in stats), summary.true_mean)
+    stats = [summary[n] for n in names]
+    lo = min(min(s.min for s in stats), TRUE_MEAN)
+    hi = max(max(s.max for s in stats), TRUE_MEAN)
     pad = 0.05 * (hi - lo or 1.0)
     lo -= pad
     hi += pad
@@ -96,7 +96,7 @@ def render_boxplot(summary: SimSummary) -> str:
             f'text-anchor="middle" font-family="sans-serif">{label}</text>'
         )
 
-    y_true = ypix(summary.true_mean)
+    y_true = ypix(TRUE_MEAN)
     parts.append(
         f'<line x1="{_MARGIN_L}" y1="{y_true:.2f}" x2="{_MARGIN_L + plot_w}" '
         f'y2="{y_true:.2f}" stroke="red" stroke-width="1.5"/>'
@@ -104,7 +104,7 @@ def render_boxplot(summary: SimSummary) -> str:
     parts.append(
         f'<text x="{_MARGIN_L + plot_w}" y="{y_true - 5:.2f}" font-size="11" '
         f'text-anchor="end" fill="red" font-family="sans-serif">'
-        f"true mean {summary.true_mean:g}</text>"
+        f"true mean {TRUE_MEAN:g}</text>"
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

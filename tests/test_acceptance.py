@@ -136,8 +136,8 @@ def test_criterion_4_inflation_bound_oracle():
 def test_criterion_5_tightness_witness():
     w = extrapolation_tightness_witness(0.0, 1.0, 10)
     target = tightness_gap(0.0, 1.0, 10)
-    ok = w.gap == target == 0.9 and w.report.bound_tight
-    report(5, ok, f"gap={w.gap}, target={target}, bound_tight={w.report.bound_tight}")
+    ok = w.gap == target == 0.9 and w.bound_tight
+    report(5, ok, f"gap={w.gap}, target={target}, bound_tight={w.bound_tight}")
 
 
 def test_criterion_6_composition_accounting(sweep):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from dpimpute import (
     Dataset,
     EnumerationBudgetError,
-    SensitivityReport,
     Universe,
     brute_force_imputed_sensitivity,
     extrapolation_tightness_witness,
@@ -16,6 +16,7 @@ from dpimpute import (
     impute,
     inflated_sensitivity,
     mean_global_sensitivity,
+    n_mis,
     read_dataset_csv,
     tightness_gap,
     write_dataset_csv,
@@ -43,20 +44,26 @@ class TestMeanGlobalSensitivity:
 
 class TestInflatedSensitivity:
     def test_no_missing_no_inflation(self):
-        assert inflated_sensitivity(1e-4, 0).inflated_sensitivity == 1e-4
+        assert inflated_sensitivity(1e-4, 0) == 1e-4
 
     def test_half_missing_inflation(self):
-        assert inflated_sensitivity(1e-4, 4999).inflated_sensitivity == 0.5
+        assert inflated_sensitivity(1e-4, 4999) == 0.5
 
     def test_full_range_at_n_minus_one_missing(self):
         n = 20
         delta = mean_global_sensitivity(Universe.unit(), n)
         r = inflated_sensitivity(delta, n - 1)
-        assert r.inflated_sensitivity == pytest.approx(1.0)
+        assert r == pytest.approx(1.0)
 
-    def test_report_invariant_enforced(self):
+    def test_returns_the_product_as_a_float(self):
+        r = inflated_sensitivity(0.1, 2)
+        assert type(r) is float
+        assert r.hex() == (3 * 0.1).hex()
+
+    @pytest.mark.parametrize("delta,num_missing", [(0.0, 1), (-0.1, 1), (0.1, -1)])
+    def test_rejects_bad_arguments(self, delta, num_missing):
         with pytest.raises(ValueError):
-            SensitivityReport(1e-4, 1.0, 0)
+            inflated_sensitivity(delta, num_missing)
 
 
 class TestGroupPrivacyFactor:
@@ -96,7 +103,7 @@ class TestTightnessGap:
     def test_identity_with_inflation(self):
         delta = mean_global_sensitivity(Universe.unit(), 10)
         assert tightness_gap(0.0, 1.0, 10) == pytest.approx(
-            inflated_sensitivity(delta, 8).inflated_sensitivity
+            inflated_sensitivity(delta, 8)
         )
 
     def test_rejects_bad_interval(self):
@@ -132,7 +139,8 @@ class TestBruteForceOracle:
         assert all(hamming_distance(p, q) == 0 for p, q in zip(a.witness, b.witness))
 
     def test_budget_guard(self):
-        with pytest.raises(EnumerationBudgetError):
+        msg = r"^enumeration would need \d+ evaluations \(budget 10000000\)$"
+        with pytest.raises(EnumerationBudgetError, match=msg):
             brute_force_imputed_sensitivity([0.0, 0.5, 1.0], 12)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -159,8 +167,8 @@ class TestTightnessWitness:
     def test_achieves_formula_gap(self):
         w = extrapolation_tightness_witness(0.0, 1.0, 10)
         assert w.gap == tightness_gap(0.0, 1.0, 10) == 0.9
-        assert w.report.bound_tight
-        assert w.report.n_mis_used == 8
+        assert w.bound_tight
+        assert n_mis(w.dataset) == 8
 
     def test_pair_are_neighbors(self):
         w = extrapolation_tightness_witness(0.0, 1.0, 10)
@@ -169,7 +177,14 @@ class TestTightnessWitness:
     def test_general_bounds(self):
         w = extrapolation_tightness_witness(2.0, 5.0, 6)
         assert w.gap == pytest.approx(tightness_gap(2.0, 5.0, 6))
-        assert w.report.bound_tight
+        assert w.bound_tight
+
+    def test_is_the_pair_its_gap_and_tightness(self):
+        w = extrapolation_tightness_witness(0.0, 1.0, 10)
+        fields = [f.name for f in dataclasses.fields(w)]
+        assert fields == ["dataset", "neighbor", "gap", "bound_tight"]
+        assert w.bound_tight is True
+        assert n_mis(w.dataset) == n_mis(w.neighbor) == 8
 
 
 def test_witness_pairs_are_valid_inputs(tmp_path):

@@ -8,6 +8,7 @@ from dpimpute import core_data, imputation, simulation
 from dpimpute import (
     RandomSource,
     SimConfig,
+    StrategySummary,
     generate_population,
     inject_missingness,
     monte_carlo,
@@ -162,13 +163,20 @@ class TestSweep:
     def test_strategy_filter(self):
         cfg = self.small_cfg(strategies=("available_case",))
         summary = monte_carlo(cfg)
-        assert list(summary.per_strategy) == ["available_case"]
+        assert list(summary) == ["available_case"]
+
+    def test_summary_is_a_dict_in_config_order(self):
+        order = ("dp_impute_then_query", "available_case", "impute_then_query")
+        summary = monte_carlo(self.small_cfg(strategies=order))
+        assert type(summary) is dict
+        assert tuple(summary) == order
+        assert all(isinstance(s, StrategySummary) for s in summary.values())
 
     def test_summary_counts(self):
         cfg = self.small_cfg()
         records, failures = run_sweep(cfg)
         summary = summarize_runs(cfg, records, failures)
-        for name, s in summary.per_strategy.items():
+        for name, s in summary.items():
             assert s.count + s.failures == cfg.runs
             assert s.q1 <= s.median <= s.q3
 
