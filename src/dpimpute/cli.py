@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes (default 1, 0 = one per CPU)",
+        help="worker processes (default 1, 0 = one per CPU this process may use)",
     )
     p.set_defaults(func=cmd_simulate)
 

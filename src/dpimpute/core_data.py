@@ -154,10 +154,15 @@ class Dataset:
         x.setflags(write=False)
         return x
 
+    @cached_property
+    def n_mis(self) -> int:
+        """Number of records with a missing response."""
+        return int(np.count_nonzero(self.mask))
+
 
 def n_mis(d: Dataset) -> int:
     """Number of records with a missing response."""
-    return int(np.count_nonzero(d.mask))
+    return d.n_mis
 
 
 class PrivacyBudget:

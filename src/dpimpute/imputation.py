@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_data import Dataset
-from .mechanisms import OlsFit, RandomSource, functional_mechanism_ols, ols_fit
+from .mechanisms import (OlsFit, RandomSource, functional_mechanism_ols, linear_predictor,
+                         ols_fit)
 
 
 @dataclass(frozen=True)
@@ -64,9 +65,15 @@ def imputed_mean(d: Dataset, model: ImputationModel) -> float:
     _check_coefficients(d, model)
     if model.stochastic:
         raise ValueError("imputed_mean needs a deterministic model")
-    fill = model.fit.predict(d.missing_covariates)
-    np.clip(fill, *d.universe.response_bounds, out=fill)
-    return float((d.complete_cases[1][0] + fill.sum()) / d.n)
+    return filled_mean(d, model.fit.beta, d.universe.response_bounds)
+
+
+def filled_mean(run, beta: np.ndarray, response_bounds) -> float:
+    """The response mean of ``run`` (a Dataset, or what a strategy reads of
+    one) once each missing response is its prediction under ``beta``, clipped."""
+    fill = linear_predictor(beta, run.missing_covariates)
+    np.clip(fill, *response_bounds, out=fill)
+    return float((run.complete_cases[1][0] + fill.sum()) / run.n)
 
 
 def impute(

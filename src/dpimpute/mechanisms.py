@@ -68,33 +68,77 @@ def laplace_sample(scale: float, rng: RandomSource) -> float:
     return float(laplace_samples(scale, None, rng))
 
 
-def laplace_samples(scale: float, size, rng: RandomSource) -> np.ndarray:
-    """Laplace(0, scale) draws by inverse CDF, one uniform in [-0.5, 0.5) each.
-
-    u = -0.5 would map to infinite noise, so such a uniform is redrawn from
-    the same stream; every other draw is unaffected.  The largest draw is
-    36.04·scale (|u| = 0.5 - 2⁻⁵³), so a scale above _MAX_SCALE is refused
-    before any draw: two draws and their sum stay finite.
-    """
+def _check_scale(scale: float) -> float:
     if not 0 < scale <= _MAX_SCALE:
         raise ValueError(f"noise scale must lie in (0, {_MAX_SCALE:.4g}], got {scale}")
-    u = np.asarray(rng.uniform(-0.5, 0.5, size=size))
-    bad = u == -0.5
-    while bad.any():
-        u[bad] = rng.uniform(-0.5, 0.5, size=int(bad.sum()))
-        bad = u == -0.5
+    return scale
+
+
+def each_run(fn, items, errors) -> list:
+    """fn(item) per run not in ``errors``, else NaN; a ValueError puts the run in it."""
+    out = [np.nan] * len(items)
+    for i, item in enumerate(items):
+        try:
+            if i not in errors:
+                out[i] = fn(item)
+        except ValueError as exc:
+            errors[i] = exc
+    return out
+
+
+def laplace_samples(scale, size, rng) -> np.ndarray:
+    """Laplace(0, scale) draws by inverse CDF, one uniform in [-0.5, 0.5) each.
+
+    ``rng`` is a RandomSource, or a list of R sources that each draw one row
+    of the (R, *size) result, with ``scale`` broadcast against it.  u = -0.5
+    would map to infinite noise, so such a uniform is redrawn from the same
+    stream; no other draw moves.  The largest draw is 36.04·scale (|u| = 0.5
+    - 2⁻⁵³), so a scale above _MAX_SCALE is refused before any draw: two
+    draws and their sum stay finite.
+    """
+    for s in np.ravel(scale):
+        _check_scale(float(s))
+    sources = rng if isinstance(rng, list) else [rng]
+    u = np.array([r.uniform(-0.5, 0.5, size=size) for r in sources])
+    rows = u.reshape(len(sources), -1)  # a view: redraws land in u
+    for i in np.flatnonzero((rows == -0.5).any(axis=1)):
+        while (bad := rows[i] == -0.5).any():
+            rows[i][bad] = sources[i].uniform(-0.5, 0.5, size=int(bad.sum()))
+    u = u if isinstance(rng, list) else u[0]
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
+
+
+def _noise_scale(sensitivity: float, epsilon: float) -> float:
+    if not sensitivity > 0:
+        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    return _check_scale(float(sensitivity) / float(epsilon))
+
+
+def laplace_mechanisms(values, sensitivities, epsilon: float, rngs, errors) -> np.ndarray:
+    """value + Laplace(sensitivity/epsilon), unclipped, per run i not in ``errors``, drawn
+    from ``rngs[i]``; a run whose release is refused joins ``errors`` before any draw."""
+    scales = each_run(lambda sens: _noise_scale(sens, epsilon), sensitivities, errors)
+    out = np.array(values, dtype=np.float64)
+    if live := [i for i in range(len(out)) if i not in errors]:
+        out[live] += laplace_samples(np.take(scales, live), None, [rngs[i] for i in live])
+    return out
+
+
+def one_run(block_fn, *args):
+    """The output of ``block_fn(*args, errors)`` on a block of one run, or its failure."""
+    out = block_fn(*args, errors := {})
+    if errors:
+        raise errors[0]
+    return out[0]
 
 
 def laplace_mechanism(
     value: float, sensitivity: float, epsilon: float, rng: RandomSource
 ) -> float:
     """Release value + Laplace(sensitivity/epsilon); the output is not clipped."""
-    if not sensitivity > 0:
-        raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return value + laplace_sample(float(sensitivity) / float(epsilon), rng)
+    return float(one_run(laplace_mechanisms, [value], [sensitivity], epsilon, [rng]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,53 +155,88 @@ class OlsFit:
     epsilon_spent: float
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        out = x @ self.beta[1:]
-        out += self.beta[0]
-        return out
+        return linear_predictor(self.beta, x)
+
+
+def linear_predictor(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """β₀ + xβ for each row of x, with beta = (β₀, β₁, …, β_d)."""
+    out = np.asarray(x, dtype=np.float64) @ beta[1:]
+    out += beta[0]
+    return out
+
+
+def ols_coefficients(gram: np.ndarray, zty: np.ndarray, errors) -> np.ndarray:
+    """:func:`ols_fit`'s β per run not in ``errors`` from stacked Z'Z (R, p, p) and Z'y
+    (R, p); a run with a singular Gram matrix joins ``errors`` unsolved (its row NaN)."""
+    beta = np.full(zty.shape, np.nan)
+    live = [i for i in range(len(gram)) if i not in errors]
+    s = np.linalg.svd(gram[live], compute_uv=False)
+    for i, (lo, hi) in zip(live, s[:, [-1, 0]]):
+        if lo <= _GRAM_RTOL * hi:
+            errors[i] = DegenerateDesignError(
+                f"{int(gram[i, 0, 0])} rows and {gram.shape[-1]} columns give a "
+                f"singular Gram matrix (rtol {_GRAM_RTOL})")
+    live = [i for i in live if i not in errors]
+    beta[live] = np.linalg.solve(gram[live], zty[live, :, None])[..., 0]
+    return beta
 
 
 def ols_fit(d: Dataset) -> OlsFit:
     """Complete-case least squares via the normal equations (LAPACK LU solve)."""
     gram, zty, yty = d.complete_cases
+    beta = one_run(ols_coefficients, gram[None], zty[None])
     n, p = int(gram[0, 0]), gram.shape[0]
-    s = np.linalg.svd(gram, compute_uv=False)
-    if s[-1] <= _GRAM_RTOL * s[0]:
-        raise DegenerateDesignError(
-            f"{n} rows and {p} columns give a singular Gram matrix (rtol {_GRAM_RTOL})"
-        )
-    beta = np.linalg.solve(gram, zty)
     rss = max(yty - float(beta @ zty), 0.0)  # |y - Zβ|² once Z'Zβ = Z'y
     sigma2 = rss / (n - p) if n > p else 0.0
-    return OlsFit(
-        beta=beta, sigma2_hat=sigma2, private=False,
-        epsilon_spent=0.0,
-    )
+    return OlsFit(beta=beta, sigma2_hat=sigma2, private=False, epsilon_spent=0.0)
 
 
-def _perturbed_quadratic_min(
-    gram: np.ndarray,
-    zty: np.ndarray,
-    epsilon: float,
-    rng: RandomSource,
-):
+def _perturbed_quadratic_min(gram: np.ndarray, zty: np.ndarray, epsilon: float, rng):
     """Noise the degree-1/degree-2 objective coefficients -2Z'y and Z'Z
     and minimize by spectral trimming.
 
     Returns (gamma, lam1, a) with ``a`` the symmetrised noisy matrix; gamma
     minimizes lam1'g + g'Ag on the eigenvectors of ``a`` with eigenvalue
     above _TRIM_TAU (0 if there are none), clipped to the coefficient box.
+    Stacked moments (R, p, p) and (R, p) with a list of R sources give one
+    minimizer per run, each noised from its own source.
     """
-    p = gram.shape[0]
+    p = gram.shape[-1]
     scale = functional_mechanism_sensitivity(p) / float(epsilon)
     lam1 = -2.0 * zty + laplace_samples(scale, p, rng)
     a = gram + laplace_samples(scale, (p, p), rng)
-    a = (a + a.T) / 2.0
+    a = (a + np.swapaxes(a, -1, -2)) / 2.0
     w, v = np.linalg.eigh(a)
-    keep = w > _TRIM_TAU
-    gamma = v[:, keep] @ ((v[:, keep].T @ -lam1) / (2.0 * w[keep]))
-    gamma = np.clip(gamma, -DEFAULT_COEF_BOUND, DEFAULT_COEF_BOUND)
+    gamma = np.empty(lam1.shape)
+    for i in np.ndindex(w.shape[:-1]):  # per run: each keeps its own directions
+        keep = w[i] > _TRIM_TAU
+        kept = v[i][:, keep]
+        gamma[i] = kept @ ((kept.T @ -lam1[i]) / (2.0 * w[i][keep]))
+    np.clip(gamma, -DEFAULT_COEF_BOUND, DEFAULT_COEF_BOUND, out=gamma)
     return gamma, lam1, a
+
+
+def functional_mechanism_coefficients(
+    gram: np.ndarray, zty: np.ndarray, response_bounds, epsilon: float, rngs
+) -> np.ndarray:
+    """:func:`functional_mechanism_ols`'s β from stacked Z'Z (R, p, p) and Z'y (R, p),
+    run r noised from ``rngs[r]``; a refused ε or noise scale raises ValueError."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    a_lo, a_hi = response_bounds
+    p = gram.shape[-1]
+    t = np.eye(p)
+    t[0, 1:] = -1.0  # z' = (1, 2x - 1)
+    t[1:, 1:] *= 2.0
+    c, o = 2.0 / (a_hi - a_lo), -(a_lo + a_hi) / (a_hi - a_lo)
+    # Z'1 is the first column of Z'Z since z_0 = 1; v @ t is t'v for each run
+    gamma, _, _ = _perturbed_quadratic_min(
+        t.T @ gram @ t, (c * zty + o * gram[..., 0]) @ t, epsilon, rngs
+    )
+    # y' = z t gamma and y = (y' - o) / c, with z e0 = 1
+    beta = gamma @ t.T
+    beta[:, 0] -= o
+    return beta / c
 
 
 def functional_mechanism_ols(d: Dataset, epsilon: float, rng: RandomSource) -> OlsFit:
@@ -168,23 +247,8 @@ def functional_mechanism_ols(d: Dataset, epsilon: float, rng: RandomSource) -> O
     also conditions the Gram matrix.  docs/functional_mechanism.md derives
     the sensitivity.  As ε→∞ the fit recovers :func:`ols_fit` up to rounding.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     gram, zty, _ = d.complete_cases  # Δ_FM holds: the Dataset is in its domain
-    a_lo, a_hi = d.universe.response_bounds
-    p = gram.shape[0]
-    t = np.eye(p)
-    t[0, 1:] = -1.0  # z' = (1, 2x - 1)
-    t[1:, 1:] *= 2.0
-    c, o = 2.0 / (a_hi - a_lo), -(a_lo + a_hi) / (a_hi - a_lo)
-    # Z'1 is the first column of Z'Z since z_0 = 1
-    gamma, _, _ = _perturbed_quadratic_min(
-        t.T @ gram @ t, t.T @ (c * zty + o * gram[:, 0]), epsilon, rng
-    )
-    # y' = z t gamma and y = (y' - o) / c, with z e0 = 1
-    beta = t @ gamma
-    beta[0] -= o
-    return OlsFit(
-        beta=beta / c, sigma2_hat=0.0, private=True,
-        epsilon_spent=float(epsilon),
-    )
+    beta = functional_mechanism_coefficients(
+        gram[None], zty[None], d.universe.response_bounds, epsilon, [rng])
+    return OlsFit(beta=beta[0], sigma2_hat=0.0, private=True,
+                  epsilon_spent=float(epsilon))

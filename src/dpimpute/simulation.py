@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core_data import Dataset, PrivacyBudget, Universe, is_finite_real, n_mis
+from .core_data import Dataset, PrivacyBudget, Universe, is_finite_real
 from .mechanisms import RandomSource
 from . import strategies as strat
 
@@ -132,40 +132,59 @@ def summarize(values) -> StrategySummary:
     )
 
 
-def _execute_run(cfg: SimConfig, run: int) -> list[RunRecord | RunFailure]:
+def _execute_run(cfg: SimConfig, run: int) -> strat.RunStatistic:
+    """Draw run ``run``'s data and mask on its own streams and return what the
+    strategies read of it; its Dataset does not outlive the call.  The name
+    stays: ``bench/tracing.py`` wraps it, and counts per-run figures per call."""
     base = RandomSource(cfg.seed)
     data = generate_population(cfg, base.split(run, _DATA))
     data = inject_missingness(data, base.split(run, _MASK))
-    out: list[RunRecord | RunFailure] = []
+    return strat.RunStatistic(data.n, data.n_mis, data.complete_cases,
+                              data.missing_covariates)
+
+
+def _execute_block(cfg: SimConfig, runs: range) -> list[RunRecord | RunFailure]:
+    """The records of ``runs`` in run order, each run's in ``cfg.strategies``
+    order: :func:`_execute_run` gives each run's statistic, then each strategy
+    releases the block at once, run r from its own (seed, r) streams."""
+    stats = strat.Statistics([_execute_run(cfg, r) for r in runs], Universe.unit())
+    columns = []
     for name in cfg.strategies:
-        rng = base.split(run, _STRATEGY_BASE + _STRATEGY_TAG[name])
-        budget = PrivacyBudget(cfg.epsilon, imputation_share=cfg.split)
-        try:
-            res = strat.run_strategy(name, data, budget, rng)
-        except Exception as exc:  # per-run failures never abort the sweep
-            out.append(RunFailure(run, name, f"{type(exc).__name__}: {exc}"))
-            continue
-        out.append(RunRecord(run, name, res.value, res.n_mis_at_query,
-                             res.epsilon_spent_total, res.sensitivity_used))
-    return out
+        tag = _STRATEGY_BASE + _STRATEGY_TAG[name]
+        budget = PrivacyBudget(cfg.epsilon, imputation_share=cfg.split)  # every run's alike
+        rel = getattr(strat, f"release_{name}")(
+            stats, budget, [RandomSource(cfg.seed, (r, tag)) for r in runs])
+        columns.append([
+            RunFailure(run, name, f"{type(exc).__name__}: {exc}")
+            if (exc := rel.errors.get(i)) else
+            RunRecord(run, name, float(rel.values[i]), stats.n_mis[i], budget.total_spent,
+                      rel.sensitivity[i])
+            for i, run in enumerate(runs)])
+    return [item for row in zip(*columns) for item in row]
+
+
+def _block_size(runs: int, n: int, workers: int) -> int:
+    """About 4 blocks per worker, of 1 to 250 runs and ≤ 2¹⁷ // n runs (about 1 MB)."""
+    return max(1, min(-(-runs // (4 * workers)), 250, 2**17 // n))
 
 
 def run_sweep(
     cfg: SimConfig, workers: int = 1
 ) -> tuple[list[RunRecord], list[RunFailure]]:
-    """Execute all runs on ``workers`` processes (0 = one per CPU); per-run
-    results are identical for any worker count because every run derives
-    its streams from (seed, run index) alone."""
+    """Execute all runs in blocks on ``workers`` processes (0 = one per CPU
+    this process may use); per-run results are identical for any worker count
+    and block size because each run derives its streams from (seed, run) alone."""
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    nworkers = workers or os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    nworkers = workers or (len(affinity(0)) if affinity else os.cpu_count() or 1)
+    size = _block_size(cfg.runs, cfg.n, nworkers)
+    blocks = [range(r, min(r + size, cfg.runs)) for r in range(0, cfg.runs, size)]
     if nworkers == 1:
-        chunks = [_execute_run(cfg, r) for r in range(cfg.runs)]
+        chunks = [_execute_block(cfg, b) for b in blocks]
     else:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            chunks = list(
-                pool.map(_execute_run, [cfg] * cfg.runs, range(cfg.runs), chunksize=8)
-            )
+            chunks = list(pool.map(_execute_block, [cfg] * len(blocks), blocks))
     records: list[RunRecord] = []
     failures: list[RunFailure] = []
     for chunk in chunks:  # chunks arrive in run order

@@ -187,8 +187,9 @@ class TestSweep:
 
 class TestOneCompleteCaseRead:
     def test_run_selects_and_sums_complete_cases_once(self, monkeypatch):
-        # the three strategies of a run share one statistic of its Dataset
-        # and one selection of its missing rows; none completes the Dataset
+        # each run's Dataset yields one statistic and one selection of its
+        # missing rows, which the three strategies of its block share; none
+        # completes the Dataset
         calls = {"moments": 0, "compress": 0, "impute": 0}
 
         def counted(name, fn):
@@ -206,10 +207,14 @@ class TestOneCompleteCaseRead:
                 for key, value in list(vars(module).items()):
                     if value is imputation.impute:
                         monkeypatch.setattr(module, key, impute)
-        out = simulation._execute_run(SimConfig(n=400, runs=1, seed=42), 0)
-        assert [r.strategy for r in out] == list(SimConfig().strategies)
+        cfg = SimConfig(n=400, runs=2, seed=42)
+        stat = simulation._execute_run(cfg, 0)
+        assert (stat.n, stat.missing_covariates.shape) == (400, (stat.n_mis, 2))
         # complete-case covariates and responses, then the missing covariates
         assert calls == {"moments": 1, "compress": 3, "impute": 0}
+        out = simulation._execute_block(cfg, range(2))
+        assert [r.strategy for r in out] == 2 * list(cfg.strategies)
+        assert calls == {"moments": 3, "compress": 9, "impute": 0}  # 1, 3, 0 per run
 
 
 class TestFunctionalMechanismNeverFails:
