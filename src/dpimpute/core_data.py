@@ -38,10 +38,11 @@ class Universe:
         return cls((0.0, 1.0))
 
 
-def _outside_universe(columns, lo: float, hi: float) -> ValueError:
-    """The refusal listing the entries of the (name, values) columns outside [lo, hi]."""
+def _outside_universe(columns, lo: float, hi: float, record) -> ValueError:
+    """The refusal listing the entries of the (name, values) columns outside
+    [lo, hi]; ``record(i)`` names record i."""
     bad = [
-        f"row {i} {name}: value {float(values[i])!r} outside [{lo}, {hi}]"
+        f"{record(i)} {name}: value {float(values[i])!r} outside [{lo}, {hi}]"
         for name, values in columns
         for i in np.flatnonzero(~((values >= lo) & (values <= hi)))
     ]
@@ -49,6 +50,21 @@ def _outside_universe(columns, lo: float, hi: float) -> ValueError:
     if len(bad) > len(shown):
         shown.append(f"... and {len(bad) - len(shown)} more")
     return ValueError(f"{len(bad)} value(s) outside the universe: " + "; ".join(shown))
+
+
+def _check_domain(x, y, m, universe: Universe, record="row {}".format) -> None:
+    """Refuse a covariate outside COVARIATE_BOUNDS or an observed response
+    (``m`` False) outside the universe; ``record(i)`` names record i."""
+    lo, hi = COVARIATE_BOUNDS  # checked first, so only these are listed
+    if x.size and not (lo <= x.min() and x.max() <= hi):  # NaN fails too
+        columns = [(f"x{j + 1}", c) for j, c in enumerate(x.T)]
+        raise _outside_universe(columns, lo, hi, record)
+    # only the sentinels are non-finite iff the counts match; fmin/fmax skip NaN
+    lo, hi = universe.response_bounds
+    n_obs = len(m) - np.count_nonzero(m)
+    finite = np.count_nonzero(np.isfinite(y)) == n_obs
+    if n_obs and not (finite and lo <= np.fmin.reduce(y) and np.fmax.reduce(y) <= hi):
+        raise _outside_universe([("y", np.where(m, lo, y))], lo, hi, record)
 
 
 def is_finite_real(value) -> bool:
@@ -113,23 +129,29 @@ class Dataset:
         n = x.shape[0]
         if np.shape(y) != (n,) or m.shape != (n,):
             raise ValueError("response/mask length must match the number of records")
-        lo, hi = COVARIATE_BOUNDS  # checked first, so only these are listed
-        if x.size and not (lo <= x.min() and x.max() <= hi):  # NaN fails too
-            columns = [(f"x{j + 1}", c) for j, c in enumerate(x.T)]
-            raise _outside_universe(columns, lo, hi)
         if m.any():
             y = np.where(m, np.nan, y)  # sentinel; never read as data
             y.setflags(write=False)
         y = _frozen(y, np.float64)
-        # only the sentinels are non-finite iff the counts match; fmin/fmax skip NaN
-        lo, hi = self.universe.response_bounds
-        n_obs = n - np.count_nonzero(m)
-        finite = np.count_nonzero(np.isfinite(y)) == n_obs
-        if n_obs and not (finite and lo <= np.fmin.reduce(y) and np.fmax.reduce(y) <= hi):
-            raise _outside_universe([("y", np.where(m, lo, y))], lo, hi)
+        _check_domain(x, y, m, self.universe)
         object.__setattr__(self, "covariates", x)
         object.__setattr__(self, "response", y)
         object.__setattr__(self, "mask", m)
+
+    def with_missing(self, mask) -> "Dataset":
+        """This Dataset with the responses under the boolean ``mask`` missing
+        too.  Hiding a response keeps every record in its domain, so the
+        domain checks are not run again; the covariates are shared."""
+        if np.shape(mask) != (self.n,):
+            raise ValueError("mask length must match the number of records")
+        m = self.mask | np.asarray(mask, dtype=bool)
+        m.setflags(write=False)
+        y = np.where(m, np.nan, self.response)
+        y.setflags(write=False)
+        out = object.__new__(Dataset)
+        vars(out).update(covariates=self.covariates, response=y, mask=m,
+                         universe=self.universe)
+        return out
 
     @property
     def n(self) -> int:
@@ -292,4 +314,9 @@ def _read_records(path, response_bounds) -> tuple[Dataset, list[str]]:
         raise  # unreachable: the rescan refuses every record the bulk parse does
     for a in (x, y, m):  # owned and read-only, so Dataset shares them
         a.setflags(write=False)
-    return Dataset(x, y, m, universe), body
+    try:
+        return Dataset(x, y, m, universe), body
+    except ValueError:  # a value outside the domain: name its file line instead
+        lines_of = [num for num, line in enumerate(lines[1:], 2) if line]
+        _check_domain(x, y, m, universe, lambda i: f"line {lines_of[i]}")
+        raise  # unreachable: the same check refuses the same records

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_data import Dataset, PrivacyBudget, Universe, is_finite_real
-from .mechanisms import RandomSource
+from .mechanisms import RandomSource, seed_together
 from . import strategies as strat
 
 TRUE_MEAN = 0.5  # clipping and the estimand are symmetric about 0.5
@@ -97,8 +97,8 @@ def generate_population(cfg: SimConfig, rng: RandomSource) -> Dataset:
     x.setflags(write=False)  # so Dataset shares x instead of copying it
     y = x @ np.asarray(cfg.beta, dtype=np.float64)
     if cfg.sigma2 > 0:
-        y = y + rng.normal(0.0, np.sqrt(cfg.sigma2), size=cfg.n)
-    y = np.clip(y, 0.0, 1.0)
+        y += rng.normal(0.0, np.sqrt(cfg.sigma2), size=cfg.n)
+    np.clip(y, 0.0, 1.0, out=y)
     y.setflags(write=False)  # shared by Dataset too
     return Dataset(x, y, np.zeros(cfg.n, dtype=bool), Universe.unit())
 
@@ -107,8 +107,7 @@ def inject_missingness(d: Dataset, rng: RandomSource) -> Dataset:
     """Mask each response independently with probability its first covariate."""
     if d.mask.any():
         raise ValueError("dataset already has missing values")
-    mask = rng.uniform(size=d.n) < d.covariates[:, 0]
-    return Dataset(d.covariates, d.response, mask, d.universe)
+    return d.with_missing(rng.uniform(size=d.n) < d.covariates[:, 0])
 
 
 def summarize(values) -> StrategySummary:
@@ -132,22 +131,24 @@ def summarize(values) -> StrategySummary:
     )
 
 
-def _execute_run(cfg: SimConfig, run: int) -> strat.RunStatistic:
-    """Draw run ``run``'s data and mask on its own streams and return what the
-    strategies read of it; its Dataset does not outlive the call.  The name
+def _execute_run(cfg: SimConfig, data: RandomSource,
+                 mask: RandomSource) -> strat.RunStatistic:
+    """Draw a run's data from ``data`` and its mask from ``mask`` and return what
+    the strategies read of it; its Dataset does not outlive the call.  The name
     stays: ``bench/tracing.py`` wraps it, and counts per-run figures per call."""
-    base = RandomSource(cfg.seed)
-    data = generate_population(cfg, base.split(run, _DATA))
-    data = inject_missingness(data, base.split(run, _MASK))
-    return strat.RunStatistic(data.n, data.n_mis, data.complete_cases,
-                              data.missing_covariates)
+    d = inject_missingness(generate_population(cfg, data), mask)
+    return strat.RunStatistic(d.n, d.n_mis, d.complete_cases, d.missing_covariates)
 
 
 def _execute_block(cfg: SimConfig, runs: range) -> list[RunRecord | RunFailure]:
     """The records of ``runs`` in run order, each run's in ``cfg.strategies``
-    order: :func:`_execute_run` gives each run's statistic, then each strategy
+    order: the block's data and mask streams are seeded together,
+    :func:`_execute_run` gives each run's statistic, then each strategy
     releases the block at once, run r from its own (seed, r) streams."""
-    stats = strat.Statistics([_execute_run(cfg, r) for r in runs], Universe.unit())
+    streams = [[RandomSource(cfg.seed, (r, tag)) for tag in (_DATA, _MASK)] for r in runs]
+    seed_together([s for pair in streams for s in pair])
+    stats = strat.Statistics([_execute_run(cfg, *pair) for pair in streams],
+                             Universe.unit())
     columns = []
     for name in cfg.strategies:
         tag = _STRATEGY_BASE + _STRATEGY_TAG[name]

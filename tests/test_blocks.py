@@ -61,9 +61,9 @@ class TestBlockPartition:
         clean = simulation._execute_block(cfg, range(7))
         real = simulation._execute_run
 
-        def planted(cfg, run):  # run 3 observes no response at all
-            stat = real(cfg, run)
-            if run != 3:
+        def planted(cfg, data, mask):  # run 3 observes no response at all
+            stat = real(cfg, data, mask)
+            if data.key[0] != 3:
                 return stat
             p = cfg.d + 1
             return stat._replace(n_mis=cfg.n, missing_covariates=np.full((cfg.n, cfg.d), 0.5),
@@ -191,8 +191,9 @@ class TestTraceGuard:
             stats = tracing.layer_metrics(tracer.spans, {op}, workers, ("simulation.run",))
             assert want <= set(stats), sorted(want - set(stats))
             assert all(math.isfinite(stats[k].value) for k in want)
-            # the data and mask streams of a run, and the source they split from
-            assert stats["mechanisms.random_source_count"].value == 3
-            assert stats["core_data.dataset_count"].value == 2
+            # a run's data and mask streams are built, and seeded together, by
+            # its block; the masked Dataset derives from the checked population
+            assert stats["mechanisms.random_source_count"].value == 0
+            assert stats["core_data.dataset_count"].value == 1
         runs = [s for s in tracer.spans if s[3] == "simulation.run"]
         assert sorted(s[7] for s in runs) == [0] * 20 + [1] * 20

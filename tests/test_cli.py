@@ -384,7 +384,7 @@ class TestMalformedInput:
                     ["impute", "--out", str(tmp_path / "out.csv")]):
             assert main([*cmd, "--data", str(data)]) == 1
             err = capsys.readouterr().err
-            assert "row 1 y: value 50.0 outside [0.0, 1.0]" in err
+            assert "line 3 y: value 50.0 outside [0.0, 1.0]" in err
 
     def test_nan_covariate_refused(self, tmp_path, capsys):
         data = self.write_csv(tmp_path, ["0.25,0.5,0.4,0", "0.75,0.5,0.3,0",
@@ -392,15 +392,15 @@ class TestMalformedInput:
         code = main(["query", "--data", str(data), "--strategy", "impute",
                      "--epsilon", "1"])
         assert code == 1
-        assert "row 2 x2" in capsys.readouterr().err
+        assert "line 4 x2" in capsys.readouterr().err
 
     def test_violation_list_is_capped(self, tmp_path, capsys):
         data = self.write_csv(tmp_path, ["0.5,0.5,2.0,0"] * 12)
         assert main(["query", "--data", str(data), "--strategy", "impute",
                      "--epsilon", "1"]) == 1
         err = capsys.readouterr().err
-        assert "12 value(s)" in err and "row 9 y" in err
-        assert "row 10 y" not in err and "and 2 more" in err
+        assert "12 value(s)" in err and "line 11 y" in err
+        assert "line 12 y" not in err and "and 2 more" in err
 
     @pytest.mark.parametrize("rows", [["0.3,0.4"], ["0.3,0.4,0.5,0,extra"],
                                       ["0.3,0.4,0.5,yes"], ["0.1,abc,0.5,0"]])

@@ -104,6 +104,29 @@ class TestDataset:
         assert masked.covariates is d.covariates
         assert impute(masked, model).covariates is d.covariates
 
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_masked_dataset_equals_full_construction(self, n):
+        # inject_missingness derives its Dataset without re-running the
+        # domain checks; every field must match what construction gives
+        from dpimpute import SimConfig, generate_population, inject_missingness
+
+        d = generate_population(SimConfig(n=n, runs=1), RandomSource(4))
+        derived = inject_missingness(d, RandomSource(5))
+        mask = RandomSource(5).uniform(size=n) < d.covariates[:, 0]
+        built = Dataset(d.covariates, d.response, mask, d.universe)
+        assert vars(derived).keys() == vars(built).keys()
+        for name, value in vars(built).items():
+            got = getattr(derived, name)
+            if isinstance(value, np.ndarray):
+                assert (got.dtype, got.shape) == (value.dtype, value.shape)
+                assert got.tobytes() == value.tobytes()  # NaN sentinels included
+                assert not got.flags.writeable and got.flags.owndata == value.flags.owndata
+            else:
+                assert got == value
+        assert derived.covariates is built.covariates is d.covariates
+        with pytest.raises(ValueError, match="mask length"):
+            d.with_missing(np.zeros(n + 1, bool))
+
 
 class TestCompleteCases:
     def test_built_once_and_read_only(self, monkeypatch):
@@ -199,8 +222,7 @@ class TestHammingMetric:
 
 
 class TestValidate:
-    """Data outside the universe is refused where it enters: by `Dataset`
-    for an observed response, by `read_dataset_csv` for a covariate."""
+    """Data outside its domain is refused where it enters, by `Dataset`."""
 
     def test_in_bounds_ok(self):
         d = make_dataset([[0.1], [0.9], [0.5]], [0.0, 1.0, 0.8], [False] * 3)
@@ -217,16 +239,15 @@ class TestValidate:
         path = tmp_path / "data.csv"
         path.write_text("x1,y,missing\n0.1,0.5,0\n1.9,0.8,0\n")
         with pytest.raises(ValueError, match=(
-            r"^1 value\(s\) outside the universe: row 1 x1: value 1\.9 outside"
+            r"^1 value\(s\) outside the universe: line 3 x1: value 1\.9 outside"
         )):
             read_dataset_csv(path, (0.0, 1.0))
 
     def test_nan_covariate_flagged(self, tmp_path):
-        # NaN fails both bound comparisons, so the reader's min/max must
-        # catch it; a Dataset itself does not check covariates
+        # NaN fails both bound comparisons, so the min/max check must catch it
         path = tmp_path / "data.csv"
         path.write_text("x1,y,missing\n0.1,0.5,0\nnan,,1\n")
-        with pytest.raises(ValueError, match=r"row 1 x1: value nan outside"):
+        with pytest.raises(ValueError, match=r"line 3 x1: value nan outside"):
             read_dataset_csv(path, (0.0, 1.0))
 
     def test_masked_sentinel_is_ignored(self):
@@ -459,7 +480,7 @@ def read_with_csv_reader(path, response_bounds):
         if header != expected:
             raise ValueError(f"bad CSV header {header!r}, expected {expected!r}")
         universe = Universe(tuple(response_bounds))
-        xs, ys, ms = [], [], []
+        xs, ys, ms, nums = [], [], [], []
         for row in r:
             if not row:
                 continue
@@ -476,13 +497,21 @@ def read_with_csv_reader(path, response_bounds):
             except ValueError as exc:
                 raise ValueError(f"line {r.line_num}: {exc}") from None
             ms.append(missing)
+            nums.append(r.line_num)
     if not ms:
         raise ValueError("no records after the header")
-    x = np.array(xs)
+    x, y, m = np.array(xs), np.array(ys), np.array(ms)
+
+    def line(i):
+        return f"line {nums[i]}"
+
     lo, hi = COVARIATE_BOUNDS
     if x.size and not (lo <= x.min() and x.max() <= hi):
-        raise _outside_universe(zip(expected, x.T), lo, hi)
-    return Dataset(x, np.array(ys), np.array(ms), universe)
+        raise _outside_universe(zip(expected, x.T), lo, hi, line)
+    lo, hi = universe.response_bounds
+    if not all(lo <= v <= hi for v in y[~m]):
+        raise _outside_universe([("y", np.where(m, lo, y))], lo, hi, line)
+    return Dataset(x, y, m, universe)
 
 
 def outcome(reader, path, bounds):
@@ -607,6 +636,31 @@ class TestReaderEdges:
             r"^line 5: could not convert string to float: 'abc'$"
         )):
             self.read(tmp_path, "x1,y,missing\n0.1,0.2,0\n\n\n0.3,abc,0\n")
+
+    @pytest.mark.parametrize("record, message", [
+        ("nan,0.5,,1", "1 value(s) outside the universe: line 5 x1: value nan outside "
+                       "[0.0, 1.0]"),
+        ("0.5,0.5,7.0,0", "1 value(s) outside the universe: line 5 y: value 7.0 outside "
+                          "[0.0, 1.0]"),
+        ("abc,0.5,,1", "line 5: could not convert string to float: 'abc'"),
+    ])
+    def test_both_kinds_of_error_name_the_file_line(self, tmp_path, capsys, record,
+                                                    message):
+        # a value outside the domain is numbered as a parse error is: by the
+        # 1-based file line, header and blank lines counted
+        path = self.write(tmp_path, "x1,x2,y,missing\n0.1,0.2,0.3,0\n\n"
+                                    f"0.4,0.5,,1\n{record}\n0.6,0.7,0.8,0\n")
+        with pytest.raises(ValueError) as info:
+            read_dataset_csv(path, (0.0, 1.0))
+        assert str(info.value) == message
+        assert main(["query", "--data", str(path), "--strategy", "impute",
+                     "--epsilon", "1"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_in_memory_dataset_names_the_record_index(self):
+        with pytest.raises(ValueError, match=r": row 2 x1: value nan outside"):
+            make_dataset([[0.1, 0.2], [0.4, 0.5], [np.nan, 0.5]], [0.3, np.nan, np.nan],
+                         [False, True, True])
 
     def test_first_of_two_bad_lines_is_reported(self, tmp_path):
         with pytest.raises(ValueError, match=r"^line 3: missing must be 0 or 1$"):

@@ -20,7 +20,9 @@ from dpimpute.core_data import _moments
 from dpimpute.mechanisms import (
     DEFAULT_COEF_BOUND,
     _MAX_SCALE,
+    _SEED_TOGETHER_MIN,
     _perturbed_quadratic_min,
+    seed_together,
 )
 
 
@@ -67,6 +69,76 @@ class TestRandomSource:
         assert "_gen" not in vars(base) and "_gen" not in vars(child)
         assert child.uniform() == RandomSource(42, (1,)).uniform()
         assert "_gen" in vars(child) and "_gen" not in vars(base)
+
+
+def numpy_generator(seed, key):
+    """The generator numpy's own SeedSequence gives (seed, key)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+def keys_of_lengths(lengths, seed=0):
+    """One key per length, of ints spread over [0, 2³²)."""
+    rng = np.random.default_rng(seed)
+    return [tuple(int(k) for k in rng.integers(0, 2**32, size=n)) for n in lengths]
+
+
+class TestSeedTogether:
+    """A block pass gives each source numpy's own generator, bit for bit."""
+
+    def assert_numpy_seeded(self, sources):
+        for r in sources:
+            want = numpy_generator(r.seed, r.key)
+            assert r._gen.bit_generator.state == want.bit_generator.state
+            assert r.uniform(size=3).tolist() == want.uniform(size=3).tolist()
+            assert r.normal() == want.normal()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**70 + 3, 2**130 + 7])
+    @pytest.mark.parametrize("lengths", [[0] * 20, [1] * 20, [2] * 20, [3] * 20,
+                                         [1, 2, 3] * 20], ids=["0", "1", "2", "3", "mixed"])
+    def test_block_pass_matches_seed_sequence(self, seed, lengths):
+        sources = [RandomSource(seed, key) for key in keys_of_lengths(lengths, seed % 97)]
+        seed_together(sources)
+        assert all("_gen" in vars(r) for r in sources)  # built by the pass
+        self.assert_numpy_seeded(sources)
+
+    def test_wide_key_ints_keep_numpy_seeding(self):
+        wide = [RandomSource(3, (r, 2**32 + r)) for r in range(20)]  # two words
+        wide += [RandomSource(3, (r, 1, 2**70)) for r in range(20)]  # beyond uint64
+        narrow = [RandomSource(3, (r,)) for r in range(20)]
+        seed_together(wide + narrow)
+        assert not any("_gen" in vars(r) for r in wide)
+        assert all("_gen" in vars(r) for r in narrow)
+        self.assert_numpy_seeded(wide + narrow)
+
+    def test_a_source_that_has_drawn_keeps_its_position(self):
+        drawn = RandomSource(5, (7, 1))
+        first = drawn.uniform(size=2)
+        gen = drawn._gen
+        seed_together([drawn] + [RandomSource(5, (r, 1)) for r in range(30)])
+        assert drawn._gen is gen
+        want = numpy_generator(5, (7, 1))
+        assert want.uniform(size=2).tolist() == first.tolist()
+        assert drawn.uniform(size=3).tolist() == want.uniform(size=3).tolist()
+
+    def test_scripted_double_passes_through(self):
+        double = Scripted([0.25, -0.1])
+        sources = [RandomSource(1, (r,)) for r in range(30)]
+        seed_together(sources[:10] + [double] + sources[10:])
+        assert vars(double) == {"values": [0.25, -0.1]}
+        self.assert_numpy_seeded(sources)
+
+    def test_a_list_below_the_crossover_keeps_lazy_seeding(self):
+        short = [RandomSource(2, (r, 0)) for r in range(_SEED_TOGETHER_MIN - 1)]
+        seed_together(short)
+        assert not any("_gen" in vars(r) for r in short)
+        self.assert_numpy_seeded(short)
+
+    def test_laplace_samples_of_a_block_equal_per_source_draws(self):
+        sources = [RandomSource(4, (r, 2, 1)) for r in range(40)]
+        block = laplace_samples(1.0, 2, sources)
+        assert all("_gen" in vars(r) for r in sources)
+        each = [laplace_samples(1.0, 2, RandomSource(4, (r, 2, 1))) for r in range(40)]
+        assert block.tolist() == np.array(each).tolist()
 
 
 class TestLaplaceSample:

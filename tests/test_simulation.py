@@ -208,7 +208,8 @@ class TestOneCompleteCaseRead:
                     if value is imputation.impute:
                         monkeypatch.setattr(module, key, impute)
         cfg = SimConfig(n=400, runs=2, seed=42)
-        stat = simulation._execute_run(cfg, 0)
+        streams = [RandomSource(42, (0, tag)) for tag in (simulation._DATA, simulation._MASK)]
+        stat = simulation._execute_run(cfg, *streams)
         assert (stat.n, stat.missing_covariates.shape) == (400, (stat.n_mis, 2))
         # complete-case covariates and responses, then the missing covariates
         assert calls == {"moments": 1, "compress": 3, "impute": 0}
