@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker processes (default 1, 0 = one per CPU this process may use)",
+        help="worker processes (default 1; 0 = one per usable CPU, also the maximum)",
     )
     p.set_defaults(func=cmd_simulate)
 

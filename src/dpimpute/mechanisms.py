@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -39,8 +40,8 @@ class RandomSource:
     """
 
     def __init__(self, seed: int, key: tuple[int, ...] = ()):
-        self.seed = int(seed)
-        self.key = tuple(map(int, key))
+        self.seed = operator.index(seed)  # an int, not a float or a string
+        self.key = tuple(map(operator.index, key))
         if self.seed < 0 or min(self.key, default=0) < 0:
             raise ValueError(f"seed and key must be nonnegative, got {seed}, {key}")
 
@@ -171,18 +172,6 @@ def _check_scale(scale: float) -> float:
     return scale
 
 
-def each_run(fn, items, errors) -> list:
-    """fn(item) per run not in ``errors``, else NaN; a ValueError puts the run in it."""
-    out = [np.nan] * len(items)
-    for i, item in enumerate(items):
-        try:
-            if i not in errors:
-                out[i] = fn(item)
-        except ValueError as exc:
-            errors[i] = exc
-    return out
-
-
 def laplace_samples(scale, size, rng) -> np.ndarray:
     """Laplace(0, scale) draws by inverse CDF, one uniform in [-0.5, 0.5) each.
 
@@ -206,7 +195,8 @@ def laplace_samples(scale, size, rng) -> np.ndarray:
     return -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
 
 
-def _noise_scale(sensitivity: float, epsilon: float) -> float:
+def noise_scale(sensitivity: float, epsilon: float) -> float:
+    """The Laplace scale sensitivity/epsilon, refused as :func:`laplace_samples` would."""
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     if not epsilon > 0:
@@ -214,29 +204,11 @@ def _noise_scale(sensitivity: float, epsilon: float) -> float:
     return _check_scale(float(sensitivity) / float(epsilon))
 
 
-def laplace_mechanisms(values, sensitivities, epsilon: float, rngs, errors) -> np.ndarray:
-    """value + Laplace(sensitivity/epsilon), unclipped, per run i not in ``errors``, drawn
-    from ``rngs[i]``; a run whose release is refused joins ``errors`` before any draw."""
-    scales = each_run(lambda sens: _noise_scale(sens, epsilon), sensitivities, errors)
-    out = np.array(values, dtype=np.float64)
-    if live := [i for i in range(len(out)) if i not in errors]:
-        out[live] += laplace_samples(np.take(scales, live), None, [rngs[i] for i in live])
-    return out
-
-
-def one_run(block_fn, *args):
-    """The output of ``block_fn(*args, errors)`` on a block of one run, or its failure."""
-    out = block_fn(*args, errors := {})
-    if errors:
-        raise errors[0]
-    return out[0]
-
-
 def laplace_mechanism(
     value: float, sensitivity: float, epsilon: float, rng: RandomSource
 ) -> float:
     """Release value + Laplace(sensitivity/epsilon); the output is not clipped."""
-    return float(one_run(laplace_mechanisms, [value], [sensitivity], epsilon, [rng]))
+    return float(value + laplace_samples(noise_scale(sensitivity, epsilon), None, rng))
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,26 +235,30 @@ def linear_predictor(beta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ols_coefficients(gram: np.ndarray, zty: np.ndarray, errors) -> np.ndarray:
-    """:func:`ols_fit`'s β per run not in ``errors`` from stacked Z'Z (R, p, p) and Z'y
-    (R, p); a run with a singular Gram matrix joins ``errors`` unsolved (its row NaN)."""
-    beta = np.full(zty.shape, np.nan)
-    live = [i for i in range(len(gram)) if i not in errors]
-    s = np.linalg.svd(gram[live], compute_uv=False)
-    for i, (lo, hi) in zip(live, s[:, [-1, 0]]):
-        if lo <= _GRAM_RTOL * hi:
-            errors[i] = DegenerateDesignError(
-                f"{int(gram[i, 0, 0])} rows and {gram.shape[-1]} columns give a "
-                f"singular Gram matrix (rtol {_GRAM_RTOL})")
-    live = [i for i in live if i not in errors]
-    beta[live] = np.linalg.solve(gram[live], zty[live, :, None])[..., 0]
-    return beta
+def singular_gram(gram: np.ndarray):
+    """Whether Z'Z, (p, p) or stacked (R, p, p), is singular: its smallest
+    singular value is at most _GRAM_RTOL times its largest."""
+    s = np.linalg.svd(gram, compute_uv=False).T  # by singular value, then run
+    return s[-1] <= _GRAM_RTOL * s[0]
+
+
+def degenerate_design(gram: np.ndarray) -> DegenerateDesignError:
+    """The refusal of one run's singular Z'Z ``gram``."""
+    return DegenerateDesignError(f"{int(gram[0, 0])} rows and {gram.shape[-1]} columns "
+                                 f"give a singular Gram matrix (rtol {_GRAM_RTOL})")
+
+
+def ols_solve(gram: np.ndarray, zty: np.ndarray) -> np.ndarray:
+    """β with Z'Zβ = Z'y by LU, from (p, p) and (p,) or stacked (R, p, p) and (R, p)."""
+    return np.linalg.solve(gram, zty[..., None])[..., 0]
 
 
 def ols_fit(d: Dataset) -> OlsFit:
-    """Complete-case least squares via the normal equations (LAPACK LU solve)."""
+    """Complete-case least squares via the normal equations."""
     gram, zty, yty = d.complete_cases
-    beta = one_run(ols_coefficients, gram[None], zty[None])
+    if singular_gram(gram):
+        raise degenerate_design(gram)
+    beta = ols_solve(gram, zty)
     n, p = int(gram[0, 0]), gram.shape[0]
     rss = max(yty - float(beta @ zty), 0.0)  # |y - Zβ|² once Z'Zβ = Z'y
     sigma2 = rss / (n - p) if n > p else 0.0
@@ -317,8 +293,9 @@ def _perturbed_quadratic_min(gram: np.ndarray, zty: np.ndarray, epsilon: float, 
 def functional_mechanism_coefficients(
     gram: np.ndarray, zty: np.ndarray, response_bounds, epsilon: float, rngs
 ) -> np.ndarray:
-    """:func:`functional_mechanism_ols`'s β from stacked Z'Z (R, p, p) and Z'y (R, p),
-    run r noised from ``rngs[r]``; a refused ε or noise scale raises ValueError."""
+    """:func:`functional_mechanism_ols`'s β from Z'Z (p, p) and Z'y (p,) noised from the
+    source ``rngs``, or from stacked (R, p, p) and (R, p), run r noised from ``rngs[r]``;
+    a refused ε or noise scale raises ValueError."""
     if not 0 < epsilon < np.inf:
         raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     a_lo, a_hi = response_bounds
@@ -333,7 +310,7 @@ def functional_mechanism_coefficients(
     )
     # y' = z t gamma and y = (y' - o) / c, with z e0 = 1
     beta = gamma @ t.T
-    beta[:, 0] -= o
+    beta[..., 0] -= o
     return beta / c
 
 
@@ -347,6 +324,6 @@ def functional_mechanism_ols(d: Dataset, epsilon: float, rng: RandomSource) -> O
     """
     gram, zty, _ = d.complete_cases  # Δ_FM holds: the Dataset is in its domain
     beta = functional_mechanism_coefficients(
-        gram[None], zty[None], d.universe.response_bounds, epsilon, [rng])
-    return OlsFit(beta=beta[0], sigma2_hat=0.0, private=True,
+        gram, zty, d.universe.response_bounds, epsilon, rng)
+    return OlsFit(beta=beta, sigma2_hat=0.0, private=True,
                   epsilon_spent=float(epsilon))

@@ -172,13 +172,14 @@ def _block_size(runs: int, n: int, workers: int) -> int:
 def run_sweep(
     cfg: SimConfig, workers: int = 1
 ) -> tuple[list[RunRecord], list[RunFailure]]:
-    """Execute all runs in blocks on ``workers`` processes (0 = one per CPU
-    this process may use); per-run results are identical for any worker count
-    and block size because each run derives its streams from (seed, run) alone."""
+    """Execute all runs in blocks on ``workers`` processes, at most one per CPU this
+    process may use (0 = that many); per-run results are identical for any worker
+    count and block size because each run derives its streams from (seed, run) alone."""
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
     affinity = getattr(os, "sched_getaffinity", None)
-    nworkers = workers or (len(affinity(0)) if affinity else os.cpu_count() or 1)
+    usable = len(affinity(0)) if affinity else os.cpu_count() or 1
+    nworkers = min(workers or usable, usable)  # a pool forks all its workers at once
     size = _block_size(cfg.runs, cfg.n, nworkers)
     blocks = [range(r, min(r + size, cfg.runs)) for r in range(0, cfg.runs, size)]
     if nworkers == 1:

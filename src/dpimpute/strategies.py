@@ -14,11 +14,12 @@ from .core_data import Dataset, PrivacyBudget, Universe
 from .imputation import filled_mean
 from .mechanisms import (
     RandomSource,
-    each_run,
+    degenerate_design,
     functional_mechanism_coefficients,
-    laplace_mechanisms,
-    ols_coefficients,
-    one_run,
+    laplace_samples,
+    noise_scale,
+    ols_solve,
+    singular_gram,
 )
 from .sensitivity import inflated_sensitivity, mean_global_sensitivity
 
@@ -66,32 +67,39 @@ class Statistics:
         self.zty = np.stack([r.complete_cases[1] for r in runs])
 
 
-def _available_case_means(gram: np.ndarray, zty: np.ndarray, errors) -> np.ndarray:
-    n_obs = gram[:, 0, 0]
-    errors.update((int(i), NoObservedResponsesError("no observed responses"))
-                  for i in np.flatnonzero(n_obs == 0))
-    return np.divide(zty[:, 0], n_obs, out=np.full(len(n_obs), np.nan), where=n_obs != 0)
-
-
 def available_case_mean(d: Dataset) -> float:
-    """Noise-free mean Σy / n_obs of the observed responses (the biased estimand)."""
+    """Noise-free mean Σy / n_obs of the observed responses (the biased estimand)
+    of ``d``, a Dataset or what a strategy reads of one."""
     gram, zty, _ = d.complete_cases
-    return float(one_run(_available_case_means, gram[None], zty[None]))
+    if not gram[0, 0]:
+        raise NoObservedResponsesError("no observed responses")
+    return float(zty[0] / gram[0, 0])
 
 
-def _filled_means(s: Statistics, beta, errors) -> list[float]:
-    bounds = s.universe.response_bounds
-    return each_run(lambda r: filled_mean(s.runs[r], beta[r], bounds), range(len(s.runs)),
-                    errors)
+def _release(budget: PrivacyBudget, epsilon: float, rngs, value, sensitivity, errors):
+    """Release value(r) + Laplace(sensitivity(r)/ε) for each run r not in ``errors``,
+    drawn from its query stream; this loop alone decides which runs are refused.
 
-
-def _release(values, sensitivity, epsilon: float, budget: PrivacyBudget, rngs, errors):
-    """Spend ε on the analysis; release value + Laplace(sensitivity/ε) per live run."""
-    if len(errors) < len(rngs):
+    A ValueError from value(r), sensitivity(r) or the noise scale joins ``errors``
+    for run r alone, before any draw.  ε is spent on the analysis if any run gets
+    past its sensitivity, so a refused noise scale stays ledgered.
+    """
+    values, sens, scales = np.full(len(rngs), np.nan), [np.nan] * len(rngs), {}
+    spend = False
+    for r in range(len(rngs)):
+        try:
+            if r not in errors:
+                values[r], sens[r] = value(r), sensitivity(r)
+                spend = True
+                scales[r] = noise_scale(sens[r], epsilon)
+        except ValueError as exc:
+            errors[r] = exc
+    if spend:
         budget.spend("analysis", epsilon)
-    queries = [r.split(_QUERY_STREAM) for r in rngs]
-    return Release(laplace_mechanisms(values, sensitivity, epsilon, queries, errors),
-                   sensitivity, epsilon, errors)
+    if live := list(scales):
+        values[live] += laplace_samples(np.array(list(scales.values())), None,
+                                        [rngs[r].split(_QUERY_STREAM) for r in live])
+    return Release(values, sens, epsilon, errors)
 
 
 def release_available_case(s: Statistics, budget: PrivacyBudget, rngs) -> Release:
@@ -100,11 +108,9 @@ def release_available_case(s: Statistics, budget: PrivacyBudget, rngs) -> Releas
     Privacy caveat (documented, not a claimed guarantee): the sensitivity
     uses the realized n_obs, which is treated as public.
     """
-    errors: dict[int, Exception] = {}
-    values = _available_case_means(s.gram, s.zty, errors)
-    sens = each_run(lambda k: mean_global_sensitivity(s.universe, s.n - k), s.n_mis,
-                    errors)
-    return _release(values, sens, budget.epsilon_total, budget, rngs, errors)
+    return _release(budget, budget.epsilon_total, rngs,
+                    lambda r: available_case_mean(s.runs[r]),
+                    lambda r: mean_global_sensitivity(s.universe, s.n - s.n_mis[r]), {})
 
 
 def release_impute_then_query(s: Statistics, budget: PrivacyBudget, rngs) -> Release:
@@ -114,11 +120,14 @@ def release_impute_then_query(s: Statistics, budget: PrivacyBudget, rngs) -> Rel
     As with the available-case pipeline, the realized n_mis enters the noise
     scale; a strictly worst-case release would use the uniform bound n*Delta.
     """
-    errors: dict[int, Exception] = {}
-    values = _filled_means(s, ols_coefficients(s.gram, s.zty, errors), errors)
-    sens = each_run(lambda k: inflated_sensitivity(
-        mean_global_sensitivity(s.universe, s.n), k), s.n_mis, errors)
-    return _release(values, sens, budget.epsilon_total, budget, rngs, errors)
+    singular = singular_gram(s.gram)
+    beta = np.full(s.zty.shape, np.nan)
+    beta[~singular] = ols_solve(s.gram[~singular], s.zty[~singular])
+    return _release(budget, budget.epsilon_total, rngs,
+                    lambda r: filled_mean(s.runs[r], beta[r], s.universe.response_bounds),
+                    lambda r: inflated_sensitivity(
+                        mean_global_sensitivity(s.universe, s.n), s.n_mis[r]),
+                    {r: degenerate_design(g) for r, g in enumerate(s.gram) if singular[r]})
 
 
 def release_dp_impute_then_query(s: Statistics, budget: PrivacyBudget, rngs) -> Release:
@@ -139,9 +148,9 @@ def release_dp_impute_then_query(s: Statistics, budget: PrivacyBudget, rngs) -> 
             s.gram, s.zty, s.universe.response_bounds, eps1, fits)
     except ValueError as exc:
         beta, errors = None, dict.fromkeys(range(len(rngs)), exc)
-    values = _filled_means(s, beta, errors)
-    sens = each_run(lambda k: mean_global_sensitivity(s.universe, s.n), s.n_mis, errors)
-    return _release(values, sens, budget.epsilon_analysis, budget, rngs, errors)
+    return _release(budget, budget.epsilon_analysis, rngs,
+                    lambda r: filled_mean(s.runs[r], beta[r], s.universe.response_bounds),
+                    lambda r: mean_global_sensitivity(s.universe, s.n), errors)
 
 
 def _run_one(name: str, d: Dataset, budget: PrivacyBudget, rng: RandomSource):

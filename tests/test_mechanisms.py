@@ -63,6 +63,16 @@ class TestRandomSource:
         with pytest.raises(ValueError, match="nonnegative"):
             RandomSource(0).split(*key, seed)
 
+    @pytest.mark.parametrize("seed, key", [(1.9, ()), ("7", ()), (0, (2.7,)), (0, ("1",))])
+    def test_seed_or_key_that_is_not_an_integer_refused(self, seed, key):
+        with pytest.raises(TypeError):
+            RandomSource(seed, key)
+
+    def test_numpy_integers_accepted(self):
+        r = RandomSource(np.int64(5), (np.uint32(2), np.int8(1)))
+        assert (r.seed, r.key) == (5, (2, 1)) and type(r.seed) is int
+        assert r.uniform() == RandomSource(5, (2, 1)).uniform()
+
     def test_generator_built_on_first_draw(self):
         base = RandomSource(42)
         child = base.split(1)

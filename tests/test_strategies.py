@@ -288,6 +288,14 @@ class TestRunStrategy:
         assert budget.ledger == res.ledger == (("analysis", 0.8),)
         assert res.noise_scale == res.sensitivity_used / 0.8
 
+    @pytest.mark.parametrize("name", ["available_case", "impute_then_query"])
+    def test_refused_analysis_scale_stays_ledgered(self, name):
+        # ε is spent on the analysis before its noise scale is checked
+        budget = PrivacyBudget(1e-320)
+        with pytest.raises(ValueError, match="noise scale must lie in"):
+            run_strategy(name, benchmark_dataset(seed=32), budget, RandomSource(33))
+        assert budget.ledger == (("analysis", 1e-320),)
+
     @pytest.mark.parametrize("name", strategies.ALL_STRATEGIES)
     def test_response_outside_universe_is_unreachable(self, name):
         # a library caller cannot release a mean of y = 50 with the noise of
