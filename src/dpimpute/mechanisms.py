@@ -196,11 +196,11 @@ def laplace_samples(scale, size, rng) -> np.ndarray:
 
 
 def noise_scale(sensitivity: float, epsilon: float) -> float:
-    """The Laplace scale sensitivity/epsilon, refused as :func:`laplace_samples` would."""
+    """Every release's Laplace scale Δ/ε, refused as :func:`laplace_samples` would."""
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
     return _check_scale(float(sensitivity) / float(epsilon))
 
 
@@ -276,16 +276,15 @@ def _perturbed_quadratic_min(gram: np.ndarray, zty: np.ndarray, epsilon: float, 
     minimizer per run, each noised from its own source.
     """
     p = gram.shape[-1]
-    scale = functional_mechanism_sensitivity(p) / float(epsilon)
+    scale = noise_scale(functional_mechanism_sensitivity(p), epsilon)
     lam1 = -2.0 * zty + laplace_samples(scale, p, rng)
     a = gram + laplace_samples(scale, (p, p), rng)
     a = (a + np.swapaxes(a, -1, -2)) / 2.0
     w, v = np.linalg.eigh(a)
-    gamma = np.empty(lam1.shape)
-    for i in np.ndindex(w.shape[:-1]):  # per run: each keeps its own directions
-        keep = w[i] > _TRIM_TAU
-        kept = v[i][:, keep]
-        gamma[i] = kept @ ((kept.T @ -lam1[i]) / (2.0 * w[i][keep]))
+    keep = w > _TRIM_TAU  # each run's own directions; a trimmed one gets coefficient 0
+    coef = np.divide((-lam1[..., None, :] @ v)[..., 0, :], 2.0 * w,
+                     out=np.zeros_like(w), where=keep)
+    gamma = (v @ coef[..., None])[..., 0]
     np.clip(gamma, -DEFAULT_COEF_BOUND, DEFAULT_COEF_BOUND, out=gamma)
     return gamma, lam1, a
 
@@ -295,9 +294,7 @@ def functional_mechanism_coefficients(
 ) -> np.ndarray:
     """:func:`functional_mechanism_ols`'s β from Z'Z (p, p) and Z'y (p,) noised from the
     source ``rngs``, or from stacked (R, p, p) and (R, p), run r noised from ``rngs[r]``;
-    a refused ε or noise scale raises ValueError."""
-    if not 0 < epsilon < np.inf:
-        raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
+    a refused ε or noise scale raises ValueError (:func:`noise_scale`) before any draw."""
     a_lo, a_hi = response_bounds
     p = gram.shape[-1]
     t = np.eye(p)

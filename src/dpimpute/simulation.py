@@ -111,24 +111,20 @@ def inject_missingness(d: Dataset, rng: RandomSource) -> Dataset:
 
 
 def summarize(values) -> StrategySummary:
-    """Five-number summary (linear interpolation between closest ranks),
-    sample mean and sample variance (ddof=1)."""
+    """Five-number summary (linear interpolation between closest ranks), sample
+    mean and sample variance (ddof=1); a statistic beyond the float range is inf."""
     v = np.asarray(values, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot summarize an empty list")
-    q0, q1, q2, q3, q4 = np.quantile(v, [0.0, 0.25, 0.5, 0.75, 1.0])
-    return StrategySummary(
-        count=int(v.size),
-        failures=0,
-        mean=float(v.mean()),
-        bias=float(v.mean() - TRUE_MEAN),
-        variance=float(v.var(ddof=1)) if v.size > 1 else 0.0,
-        min=float(q0),
-        q1=float(q1),
-        median=float(q2),
-        q3=float(q3),
-        max=float(q4),
-    )
+    q = np.quantile(v, [0.0, 0.25, 0.5, 0.75, 1.0]).tolist()
+    # moments of v / 2**k, whose sums and squares stay finite (k = 0 below 2**400);
+    # scaled back as Python floats, which overflow to inf with no warning
+    k = max(int(np.frexp(np.abs(v).max())[1]) - 400, 0)
+    w = v * 2.0**-k
+    mean = float(w.mean()) * 2.0**k
+    var = float(w.var(ddof=1)) * 2.0**k * 2.0**k if v.size > 1 else 0.0
+    return StrategySummary(count=int(v.size), failures=0, mean=mean, bias=mean - TRUE_MEAN,
+                           variance=var, min=q[0], q1=q[1], median=q[2], q3=q[3], max=q[4])
 
 
 def _execute_run(cfg: SimConfig, data: RandomSource,

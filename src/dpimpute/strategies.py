@@ -51,8 +51,8 @@ class QueryResult:
 # all the strategies read of one run's Dataset, which has these attributes too
 RunStatistic = namedtuple("RunStatistic", "n n_mis complete_cases missing_covariates")
 
-# one strategy's release of a block: run i's values[i], sensitivity[i] or errors[i]
-Release = namedtuple("Release", "values sensitivity epsilon errors")
+# a strategy's release of a block: run i's values[i], sensitivity[i], scale[i] or errors[i]
+Release = namedtuple("Release", "values sensitivity scale errors")
 
 
 class Statistics:
@@ -84,7 +84,8 @@ def _release(budget: PrivacyBudget, epsilon: float, rngs, value, sensitivity, er
     for run r alone, before any draw.  ε is spent on the analysis if any run gets
     past its sensitivity, so a refused noise scale stays ledgered.
     """
-    values, sens, scales = np.full(len(rngs), np.nan), [np.nan] * len(rngs), {}
+    values = np.full(len(rngs), np.nan)
+    sens, scales = [np.nan] * len(rngs), [np.nan] * len(rngs)
     spend = False
     for r in range(len(rngs)):
         try:
@@ -96,10 +97,10 @@ def _release(budget: PrivacyBudget, epsilon: float, rngs, value, sensitivity, er
             errors[r] = exc
     if spend:
         budget.spend("analysis", epsilon)
-    if live := list(scales):
-        values[live] += laplace_samples(np.array(list(scales.values())), None,
+    if live := [r for r in range(len(rngs)) if r not in errors]:
+        values[live] += laplace_samples(np.array(scales)[live], None,
                                         [rngs[r].split(_QUERY_STREAM) for r in live])
-    return Release(values, sens, epsilon, errors)
+    return Release(values, sens, scales, errors)
 
 
 def release_available_case(s: Statistics, budget: PrivacyBudget, rngs) -> Release:
@@ -158,9 +159,8 @@ def _run_one(name: str, d: Dataset, budget: PrivacyBudget, rng: RandomSource):
     out = globals()[f"release_{name}"](Statistics([d], d.universe), budget, [rng])
     if out.errors:
         raise out.errors[0]
-    sens = out.sensitivity[0]
-    return QueryResult(float(out.values[0]), sens, sens / out.epsilon, budget.total_spent,
-                       name, d.n_mis, budget.ledger)
+    return QueryResult(float(out.values[0]), out.sensitivity[0], out.scale[0],
+                       budget.total_spent, name, d.n_mis, budget.ledger)
 
 
 def run_available_case(

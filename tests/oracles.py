@@ -1,7 +1,8 @@
 """Test oracles for the imputation-scheme contract the (n_mis + 1)Δ bound
 rests on: record-wise distance between datasets and a check of an imputer
-on a neighbour pair.  No release path uses them, so they live with the
-tests rather than in the package."""
+on a neighbour pair; and the per-run loop that the functional mechanism's
+trimming is checked against.  No release path uses them, so they live with
+the tests rather than in the package."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from typing import Callable
 import numpy as np
 
 from dpimpute import Dataset, n_mis
+from dpimpute.mechanisms import _TRIM_TAU, DEFAULT_COEF_BOUND
 
 
 class IncomparableDatasetsError(ValueError):
@@ -66,3 +68,17 @@ def check_imputer_contract(
             f"completed pair differs in {dist} records, bound is n_mis+1={bound}"
         )
     return violations
+
+
+def trimmed_minimiser(a: np.ndarray, lam1: np.ndarray) -> np.ndarray:
+    """The functional mechanism's minimiser of lam1'g + g'Ag, one run at a time:
+    run i keeps the eigenvectors of its symmetric a[i] with eigenvalue above
+    _TRIM_TAU, solves on them, and is clipped to the coefficient box.  The
+    reference for ``mechanisms._perturbed_quadratic_min``'s array form."""
+    gamma = np.empty(lam1.shape)
+    for i in np.ndindex(lam1.shape[:-1]):  # per run: each keeps its own directions
+        w, v = np.linalg.eigh(a[i])
+        keep = w > _TRIM_TAU
+        kept = v[:, keep]
+        gamma[i] = kept @ ((kept.T @ -lam1[i]) / (2.0 * w[keep]))
+    return np.clip(gamma, -DEFAULT_COEF_BOUND, DEFAULT_COEF_BOUND)

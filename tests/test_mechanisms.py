@@ -21,9 +21,11 @@ from dpimpute.mechanisms import (
     DEFAULT_COEF_BOUND,
     _MAX_SCALE,
     _SEED_TOGETHER_MIN,
+    _TRIM_TAU,
     _perturbed_quadratic_min,
     seed_together,
 )
+from oracles import trimmed_minimiser
 
 
 def complete(x, y, bounds=(0.0, 1.0)):
@@ -230,6 +232,16 @@ class TestLaplaceMechanism:
 
     def test_vanishing_noise_limit(self):
         assert abs(laplace_mechanism(0.7, 1.0, 1e12, RandomSource(1)) - 0.7) < 1e-9
+
+    def test_infinite_epsilon_refused_as_by_the_functional_mechanism(self):
+        # one ε rule for every Laplace scale: refused before any draw (an empty
+        # Scripted source raises IndexError if drawn from)
+        data = complete(np.full((5, 2), 0.5), np.full(5, 0.5))
+        message = "^epsilon must be finite and positive, got inf$"
+        for release in (lambda: laplace_mechanism(0.5, 1.0, np.inf, Scripted([])),
+                        lambda: functional_mechanism_ols(data, np.inf, Scripted([]))):
+            with pytest.raises(ValueError, match=message):
+                release()
 
 
 class TestOlsFit:
@@ -448,6 +460,7 @@ class TestFunctionalMechanism:
         d = complete(x, y, (-1.0, 3.0))
         fit = functional_mechanism_ols(d, 1.0, RandomSource(0))
         np.testing.assert_array_equal(fit.beta, [1.0, 0.0, 0.0])
+        assert not np.signbit(fit.beta).any()  # +0.0, never a printed -0.0
 
     def test_indefinite_noise_gives_bounded_fit(self, monkeypatch):
         self._stub_noise(monkeypatch, 1e6, -1e6, 0.0)
@@ -461,6 +474,34 @@ class TestFunctionalMechanism:
         w = np.linalg.eigvalsh(a)
         assert w[0] < 0 < w[-1]
         assert np.abs(gamma).max() <= DEFAULT_COEF_BOUND
+
+    def test_array_trimming_matches_the_per_run_loop(self, monkeypatch):
+        # a stacked batch whose run r trims r % 4 of its 3 directions: the noise
+        # is the whole objective, lam1 and a = Q diag(w) Q' with w < 0 trimmed
+        R, p = 64, 3
+        rng = RandomSource(5)
+        q = np.linalg.qr(rng.normal(size=(R, p, p)))[0]
+        w = rng.uniform(1.0, 10.0, size=(R, p))
+        w[np.arange(p) < np.arange(R)[:, None] % (p + 1)] *= -1.0
+        noise = {p: rng.normal(0.0, 5.0, size=(R, p)),
+                 (p, p): q @ (w[..., None] * np.swapaxes(q, -1, -2))}
+        monkeypatch.setattr(mechanisms, "laplace_samples", lambda s, size, rng: noise[size])
+        gamma, lam1, a = _perturbed_quadratic_min(
+            np.zeros((R, p, p)), np.zeros((R, p)), 1.0, [None] * R)
+        w, v = np.linalg.eigh(a)
+        trimmed = (w <= _TRIM_TAU).sum(axis=-1)
+        assert np.bincount(trimmed).tolist() == [R // 4] * 4
+        ref = trimmed_minimiser(a, lam1)
+        # the loop and the array form round their two products in different
+        # orders; bound that by each product's forward error, 2(p + 1)·eps
+        # times the terms it sums, so the check holds for any summation order
+        inv = np.divide(1.0, 2.0 * w, out=np.zeros_like(w), where=w > _TRIM_TAU)
+        coef = inv * (np.swapaxes(v, -1, -2) @ -lam1[..., None])[..., 0]
+        tol = 2 * (p + 1) * np.finfo(float).eps * (
+            np.abs(coef).sum(axis=-1) + np.abs(lam1).sum(axis=-1) * inv.sum(axis=-1))
+        assert (np.abs(gamma - ref).max(axis=-1) <= tol).all()
+        full = trimmed == p  # γ = +0.0 exactly, as the loop gives
+        assert not gamma[full].any() and not np.signbit(gamma[full]).any()
 
     def test_mean_beta_near_truth_at_benchmark_scale(self):
         # d=2, n=10,000, beta=(0.5,0.5), sigma2=0.1, eps=0.5: approximate

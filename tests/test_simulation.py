@@ -1,5 +1,6 @@
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dpimpute import (
     summarize,
     summarize_runs,
 )
+from dpimpute.mechanisms import _MAX_SCALE
 from dpimpute.simulation import runs_csv_text, summary_csv_text
 
 # frozen 1e7-sample Monte Carlo moments of the clipped response
@@ -142,6 +144,28 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize([])
+
+    def test_releases_near_the_largest_scale_summarized_without_warning(self):
+        # releases at the largest accepted noise scale reach ±36·_MAX_SCALE: their
+        # sum and squares overflow, their mean does not (pytest turns a
+        # floating-point warning into an error)
+        big = 36 * _MAX_SCALE
+        v = [big, -big, 0.9 * big, -0.7 * big, 0.5] * 40
+        s = summarize(v)
+        exact = sum(map(Fraction, v)) / len(v)
+        assert s.mean == pytest.approx(float(exact), rel=1e-15)
+        assert s.bias == s.mean - 0.5
+        assert s.variance == math.inf  # about 1e615, beyond the float range
+        assert (s.min, s.max) == (-big, big)
+        # a variance in range whose sum of squares is not: 200 · 1e306
+        s = summarize([1e153, -1e153] * 100)
+        assert s.mean == 0.0
+        assert s.variance == pytest.approx(200 / 199 * 1e306, rel=1e-14)
+
+    def test_usual_values_keep_numpys_mean_and_variance(self):
+        v = RandomSource(3).uniform(-2.0, 2.0, size=999)
+        s = summarize(v)
+        assert (s.mean, s.variance) == (float(v.mean()), float(v.var(ddof=1)))
 
 
 class TestSweep:

@@ -17,6 +17,7 @@ from dpimpute import (
     fit_imputation_model,
     impute,
     laplace_sample,
+    laplace_samples,
     mean_global_sensitivity,
     run_available_case,
     run_dp_impute_then_query,
@@ -287,6 +288,19 @@ class TestRunStrategy:
         res = run_strategy(name, d, budget, RandomSource(33))
         assert budget.ledger == res.ledger == (("analysis", 0.8),)
         assert res.noise_scale == res.sensitivity_used / 0.8
+
+    @pytest.mark.parametrize("name", strategies.ALL_STRATEGIES)
+    def test_noise_scale_is_the_scale_drawn(self, monkeypatch, name):
+        drawn = []
+
+        def spy(scale, size, rng):
+            drawn.extend(np.ravel(scale).tolist())
+            return laplace_samples(scale, size, rng)
+
+        monkeypatch.setattr(strategies, "laplace_samples", spy)  # the release's draw
+        budget = PrivacyBudget(0.8, imputation_share=0.25)
+        res = run_strategy(name, benchmark_dataset(seed=32), budget, RandomSource(33))
+        assert drawn == [res.noise_scale]
 
     @pytest.mark.parametrize("name", ["available_case", "impute_then_query"])
     def test_refused_analysis_scale_stays_ledgered(self, name):
